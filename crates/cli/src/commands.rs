@@ -284,7 +284,7 @@ fn cmd_plan(args: &Args) -> Result<String, CliError> {
     if plan.static_buffers.is_empty() {
         let _ = writeln!(out, "static buffers: none needed");
     } else {
-        for b in &plan.static_buffers {
+        for b in plan.static_buffers.iter() {
             let _ = writeln!(out,
                 "static buffer {}: {} words, offset {:+}, contents = grid[{}..{}], serves elements {}..{}",
                 b.name, b.len, b.offset, b.region_start, b.region_start + b.len,

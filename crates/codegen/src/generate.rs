@@ -306,7 +306,7 @@ impl<'a> VerilogGen<'a> {
             for &tap in &self.plan.taps {
                 w.line(&format!("input  wire [{}:0] tap_{tap},", width - 1));
             }
-            for b in &self.plan.static_buffers {
+            for b in self.plan.static_buffers.iter() {
                 w.line(&format!(
                     "input  wire [{}:0] static_{}_dout,",
                     width - 1,
@@ -323,7 +323,7 @@ impl<'a> VerilogGen<'a> {
         // (within an exact range every element resolves identically).
         let mut branches: Vec<(String, Vec<Option<String>>)> = Vec::new();
         let mut scratch = Vec::new();
-        for d in &self.plan.decisions {
+        for d in self.plan.decisions.iter() {
             let lo = d.range.start;
             let hi = d.range.end() - 1;
             let cond = if lo == hi {
@@ -534,7 +534,7 @@ impl<'a> VerilogGen<'a> {
                 w.line(&format!("wire [{}:0] tap_{tap};", width - 1));
             }
             w.line(&format!("wire [{}:0] centre;", width - 1));
-            for b in &self.plan.static_buffers {
+            for b in self.plan.static_buffers.iter() {
                 w.line(&format!("wire [{}:0] static_{}_dout;", width - 1, b.id));
             }
             for p in 0..shape_len {
@@ -565,7 +565,7 @@ impl<'a> VerilogGen<'a> {
             // FSM-3 captures results whose element index falls in the
             // buffer's region.
             let mut pf_base = 0usize;
-            for b in &self.plan.static_buffers {
+            for b in self.plan.static_buffers.iter() {
                 let aw = (usize::BITS - (b.len.max(2) - 1).leading_zeros()).max(1);
                 let lo = b.region_start;
                 let hi = b.region_start + b.len - 1;
@@ -602,7 +602,7 @@ impl<'a> VerilogGen<'a> {
                 for &tap in &self.plan.taps {
                     w.line(&format!(".tap_{tap}(tap_{tap}),"));
                 }
-                for b in &self.plan.static_buffers {
+                for b in self.plan.static_buffers.iter() {
                     w.line(&format!(".static_{0}_dout(static_{0}_dout),", b.id));
                 }
                 for p in 0..shape_len {

@@ -49,7 +49,7 @@ pub fn generate_testbench(
     // Stimulus: the warm-up prefetch words (static buffer regions, in bank
     // order) followed by the streamed grid.
     let mut stimulus: Vec<Word> = Vec::new();
-    for b in &plan.static_buffers {
+    for b in plan.static_buffers.iter() {
         stimulus.extend_from_slice(&input[b.region_start..b.region_start + b.len]);
     }
     stimulus.extend_from_slice(input);

@@ -92,7 +92,7 @@ impl SmacheModule {
         let mut banks = Vec::with_capacity(plan.static_buffers.len());
         let mut prefetch_map = Vec::new();
         let mut prefetch_addrs = Vec::new();
-        for spec in &plan.static_buffers {
+        for spec in plan.static_buffers.iter() {
             for slot in 0..spec.len {
                 prefetch_map.push((spec.id, slot));
                 prefetch_addrs.push(spec.region_start + slot);

@@ -1,6 +1,6 @@
 //! Computation kernels fed by the Smache tuple stream.
 
-use smache_sim::{ResourceUsage, Word};
+use smache_sim::{GatherTable, ResourceUsage, Word, MAX_GATHER_WIDTH};
 
 /// A combinational reduction over one stencil tuple.
 ///
@@ -13,13 +13,46 @@ use smache_sim::{ResourceUsage, Word};
 ///
 /// Kernels must be pure functions of `(values, mask)`: the golden
 /// reference evaluates the same function software-side, and the validation
-/// suite requires bit-identical results.
+/// suite requires bit-identical results. Schedule replay drives a kernel
+/// through [`Kernel::apply_rows`], one call per instance, which must equal
+/// `apply` on every tuple bit for bit.
 pub trait Kernel {
     /// Kernel name for reports.
     fn name(&self) -> &str;
 
     /// Computes the output word for one gathered tuple.
     fn apply(&self, values: &[Word], mask: u64) -> Word;
+
+    /// Runs one whole replayed instance over a lane block: for every
+    /// element `e` of `rows` and lane `l < lanes`, writes
+    /// `next[e * lanes + l]` from the lane's current grid, whose element
+    /// `g` is `cur[g * lanes + l]`.
+    ///
+    /// **Contract:** the result must equal [`Kernel::apply`] on each lane's
+    /// gathered tuple (`rows.width()` values, grid slots read from `cur`,
+    /// constants from the side list, holes zero) with the element's mask,
+    /// bit for bit. Replay makes one call per instance, so the provided
+    /// body is compiled for each kernel type with `apply` inlined; a kernel
+    /// overrides it only to hoist work out of the lane loop.
+    fn apply_rows(&self, rows: &GatherTable, lanes: usize, cur: &[Word], next: &mut [Word]) {
+        if lanes == 0 {
+            return;
+        }
+        let mut buf = [0 as Word; MAX_GATHER_WIDTH];
+        let values = &mut buf[..rows.width()];
+        for (row, out) in rows.rows().zip(next.chunks_exact_mut(lanes)) {
+            values.fill(0);
+            for c in row.consts {
+                values[c.pos as usize] = c.value;
+            }
+            for (l, o) in out.iter_mut().enumerate() {
+                for (&i, &p) in row.index.iter().zip(row.pos) {
+                    values[p as usize] = cur[i as usize * lanes + l];
+                }
+                *o = self.apply(values, row.mask);
+            }
+        }
+    }
 
     /// Pipeline latency in cycles between tuple input and result output.
     fn latency(&self) -> u64 {
@@ -40,6 +73,64 @@ pub fn present(values: &[Word], mask: u64) -> impl Iterator<Item = Word> + '_ {
         .map(|(_, &v)| v)
 }
 
+/// Mask bits addressing a `width`-slot tuple.
+fn width_mask(width: usize) -> u64 {
+    if width >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << width) - 1
+    }
+}
+
+/// `sum / count`, with a divisor the compiler knows for counts 1–9 (a
+/// multiply and shift instead of a hardware divide).
+#[inline(always)]
+fn mean(sum: Word, count: u64) -> Word {
+    match count {
+        0 => 0,
+        1 => sum,
+        2 => sum / 2,
+        3 => sum / 3,
+        4 => sum / 4,
+        5 => sum / 5,
+        6 => sum / 6,
+        7 => sum / 7,
+        8 => sum / 8,
+        9 => sum / 9,
+        c => sum / c,
+    }
+}
+
+/// Writes each lane's mean of its grid slots plus `base` over `count`
+/// points, summing in `u64`: blocks of eight contiguous lanes are summed
+/// slot by slot in registers, the remaining lanes one at a time. The
+/// caller has proved no sum overflows.
+#[inline(always)]
+fn mean_lanes(out: &mut [Word], base: Word, count: u64, grid: &[u32], cur: &[Word]) {
+    const BLOCK: usize = 8;
+    let lanes = out.len();
+    let mut blocks = out.chunks_exact_mut(BLOCK);
+    for (b, block) in blocks.by_ref().enumerate() {
+        let mut acc = [base; BLOCK];
+        for &i in grid {
+            let src = &cur[i as usize * lanes + b * BLOCK..][..BLOCK];
+            for (a, &v) in acc.iter_mut().zip(src) {
+                *a += v;
+            }
+        }
+        for (o, a) in block.iter_mut().zip(acc) {
+            *o = mean(a, count);
+        }
+    }
+    let done = lanes - lanes % BLOCK;
+    for (l, o) in (done..).zip(blocks.into_remainder()) {
+        let sum = grid
+            .iter()
+            .fold(base, |s, &i| s + cur[i as usize * lanes + l]);
+        *o = mean(sum, count);
+    }
+}
+
 /// The paper's validation kernel: a 4-point averaging filter, generalised
 /// to the integer mean of however many points the boundary case supplies.
 #[derive(Debug, Clone, Copy, Default)]
@@ -51,17 +142,57 @@ impl Kernel for AverageKernel {
     }
 
     fn apply(&self, values: &[Word], mask: u64) -> Word {
-        let lim = if values.len() >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << values.len()) - 1
-        };
-        let count = (mask & lim).count_ones() as u128;
+        let count = (mask & width_mask(values.len())).count_ones() as u128;
         if count == 0 {
             return 0;
         }
         let sum: u128 = present(values, mask).map(|v| v as u128).sum();
         (sum / count) as Word
+    }
+
+    /// Works out each row's present grid slots, count and constant sum
+    /// once for the whole lane block. When one check of the block's
+    /// largest possible word (the bitwise OR of every word bounds it)
+    /// proves no row sum can reach 2^64, lanes are summed in `u64` over
+    /// contiguous lanes and divided by a constant the compiler knows for
+    /// counts 1–9; otherwise each lane takes `apply`'s exact `u128` path.
+    fn apply_rows(&self, rows: &GatherTable, lanes: usize, cur: &[Word], next: &mut [Word]) {
+        if lanes == 0 {
+            return;
+        }
+        let lim = width_mask(rows.width());
+        let ceiling =
+            cur.iter().fold(0, |a, &w| a | w) | rows.consts().iter().fold(0, |a, c| a | c.value);
+        let fits = ceiling as u128 * rows.width() as u128 <= u64::MAX as u128;
+        let mut buf = [0u32; MAX_GATHER_WIDTH];
+        for (row, out) in rows.rows().zip(next.chunks_exact_mut(lanes)) {
+            let mask = row.mask & lim;
+            let grid = if rows.all_present() {
+                row.index
+            } else {
+                let mut k = 0;
+                for (&i, &p) in row.index.iter().zip(row.pos) {
+                    if mask >> p & 1 == 1 {
+                        buf[k] = i;
+                        k += 1;
+                    }
+                }
+                &buf[..k]
+            };
+            let consts = row.consts.iter().filter(|c| mask >> c.pos & 1 == 1);
+            let count = mask.count_ones() as u64;
+            if fits {
+                mean_lanes(out, consts.map(|c| c.value).sum(), count, grid, cur);
+            } else {
+                let base: u128 = consts.map(|c| c.value as u128).sum();
+                for (l, o) in out.iter_mut().enumerate() {
+                    let sum = grid
+                        .iter()
+                        .fold(base, |s, &i| s + cur[i as usize * lanes + l] as u128);
+                    *o = sum.checked_div(count as u128).unwrap_or(0) as Word;
+                }
+            }
+        }
     }
 
     fn latency(&self) -> u64 {

@@ -5,6 +5,8 @@
 //! the stencil code) and the *parameters* (window geometry, tap positions,
 //! hybrid segmentation, buffer regions).
 
+use std::sync::Arc;
+
 use smache_mem::MemKind;
 use smache_stencil::{access, split_ranges, BoundarySpec, GridSpec, LinearAccess, StencilShape};
 
@@ -289,8 +291,9 @@ pub struct BufferPlan {
     pub bounds: BoundarySpec,
     /// Logical word width in bits.
     pub word_bits: u32,
-    /// Per-range split decisions (post refinement).
-    pub decisions: Vec<RangeDecision>,
+    /// Per-range split decisions (post refinement). Shared, so a cloned
+    /// plan costs a reference count and compares by pointer first.
+    pub decisions: Arc<[RangeDecision]>,
     /// Largest stream offset ahead of the element (window reach forward).
     pub lookahead: usize,
     /// Largest stream offset behind the element.
@@ -300,8 +303,8 @@ pub struct BufferPlan {
     pub capacity: usize,
     /// Window positions that must be readable concurrently (sorted).
     pub taps: Vec<usize>,
-    /// The static buffers.
-    pub static_buffers: Vec<StaticBufferSpec>,
+    /// The static buffers (shared like `decisions`).
+    pub static_buffers: Arc<[StaticBufferSpec]>,
     /// Stream-buffer placement mode.
     pub hybrid: HybridMode,
     /// Number of distinct stencil cases (distinct exact tuple signatures;
@@ -466,12 +469,12 @@ impl BufferPlan {
             shape,
             bounds,
             word_bits,
-            decisions,
+            decisions: decisions.into(),
             lookahead,
             lookback,
             capacity,
             taps,
-            static_buffers,
+            static_buffers: static_buffers.into(),
             hybrid,
             n_cases,
             statics_are_regions: false,
@@ -636,7 +639,7 @@ impl BufferPlan {
     /// Static-buffer captures for the *output* at grid index `g`: which
     /// buffer slots FSM-3 must write through.
     pub fn captures_for(&self, g: usize, out: &mut Vec<(usize, usize)>) {
-        for b in &self.static_buffers {
+        for b in self.static_buffers.iter() {
             if b.contains_region(g) {
                 out.push((b.id, g - b.region_start));
             }
@@ -741,6 +744,15 @@ mod tests {
         assert_eq!(p.taps, vec![1, 11, 13, 23]);
         assert_eq!(p.centre_pos(), 12);
         assert_eq!(p.model_words(), 23 + 22);
+    }
+
+    #[test]
+    fn cloned_plans_share_decisions_and_static_buffers() {
+        let p = paper_plan(HybridMode::CaseR);
+        let q = p.clone();
+        assert!(Arc::ptr_eq(&p.decisions, &q.decisions));
+        assert!(Arc::ptr_eq(&p.static_buffers, &q.static_buffers));
+        assert_eq!(p, q);
     }
 
     #[test]

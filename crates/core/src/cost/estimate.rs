@@ -65,7 +65,7 @@ impl CostEstimate {
         let w = plan.word_bits as u64;
         let mut out = MemoryBreakdown::default();
 
-        for b in &plan.static_buffers {
+        for b in plan.static_buffers.iter() {
             let bits = 2 * b.len as u64 * w;
             match b.kind {
                 MemKind::Bram => out.b_static += bits,

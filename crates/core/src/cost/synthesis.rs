@@ -46,7 +46,7 @@ impl SynthesisModel {
 
         // Static buffers: two physical banks each, +1 output-register word
         // per BRAM bank.
-        for b in &plan.static_buffers {
+        for b in plan.static_buffers.iter() {
             match b.kind {
                 MemKind::Bram => out.b_static += 2 * (b.len as u64 + 1) * w,
                 MemKind::Reg => out.r_static += 2 * b.len as u64 * w,

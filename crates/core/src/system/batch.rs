@@ -198,7 +198,8 @@ fn capture_one(job: &BatchJob) -> CoreResult<(RunReport, Arc<ControlSchedule>)> 
 /// A batch spec seen in pass 1, memoised so its [`schedule_key`] — which
 /// formats and fingerprints the whole plan — is derived **once** per batch
 /// rather than once per lane (the old fallback path re-keyed every lane of
-/// a refused spec).
+/// a refused spec). Lanes cloned from one plan share its decision and
+/// static-buffer lists, so matching a lane compares those by pointer.
 struct SpecKey {
     kernel: KernelFactory,
     instances: u64,

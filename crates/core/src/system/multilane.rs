@@ -161,7 +161,7 @@ impl MultilaneSystem {
 
     fn prefetch_addrs(&self) -> Vec<usize> {
         let mut addrs = Vec::new();
-        for b in &self.plan.static_buffers {
+        for b in self.plan.static_buffers.iter() {
             addrs.extend(b.region_start..b.region_start + b.len);
         }
         addrs

@@ -13,13 +13,15 @@
 //!    run with the per-cycle control recorder attached, yielding a
 //!    [`ControlSchedule`] — the packed [`ControlTrace`], the per-element
 //!    [`GatherTable`], and the run's data-independent report template.
-//! 2. **Replay** ([`ControlSchedule::replay`]): for each work-instance,
-//!    every output element is the kernel applied to its gathered slots —
-//!    indexed grid reads resolved at capture time, no delta settling, no
-//!    module dispatch. Outputs and cycle counts are **bit-exact** versus
-//!    the full simulation; capture verifies this on its own input before
-//!    handing the schedule out ([`ReplayUnsupported::ScheduleDivergence`]
-//!    otherwise — replay never silently diverges).
+//! 2. **Replay** ([`ControlSchedule::replay_lanes`], one lane for
+//!    [`ControlSchedule::replay`]): for each work-instance, one
+//!    [`Kernel::apply_rows`] call applies the kernel to every element's
+//!    gathered slots — indexed grid reads resolved at capture time, no
+//!    delta settling, no module dispatch. Outputs and cycle counts are
+//!    **bit-exact** versus the full simulation; capture verifies this on
+//!    its own input before handing the schedule out
+//!    ([`ReplayUnsupported::ScheduleDivergence`] otherwise — replay never
+//!    silently diverges).
 //!
 //! Why one gather table serves every instance: each instance's input is the
 //! previous instance's output, and *all* architectural reads resolve to
@@ -52,7 +54,7 @@ use std::sync::Arc;
 
 use smache_mem::Word;
 use smache_sim::hash::fingerprint128;
-use smache_sim::{ControlTrace, GatherTable, ReplayUnsupported, SlotSource};
+use smache_sim::{ControlTrace, GatherTable, ReplayUnsupported, SlotSource, MAX_GATHER_WIDTH};
 
 use crate::arch::kernel::Kernel;
 use crate::config::{BufferPlan, SourceRef};
@@ -235,20 +237,21 @@ impl ControlSchedule {
         &self.gather
     }
 
-    /// Approximate heap footprint in bytes, for cache budgeting.
+    /// Heap bytes the schedule holds, for cache budgeting: the capacity of
+    /// every vector in the gather table and trace, the kernel name, and an
+    /// allowance for the report template.
     pub fn approx_bytes(&self) -> usize {
         self.gather.approx_bytes()
             + self.trace.approx_bytes()
-            + self.kernel_name.len()
-            + self.template.fault_events.len() * 32
+            + self.kernel_name.capacity()
+            + self.template.fault_events.capacity() * 32
             + 512
     }
 
     /// Replays the schedule over `input`: advances the datapath directly
-    /// from the recorded control plane — per instance, each element is the
-    /// kernel applied to its gathered slots — and returns a report
-    /// bit-exact with the full simulation of the same input (verified at
-    /// capture time).
+    /// from the recorded control plane and returns a report bit-exact with
+    /// the full simulation of the same input (verified at capture time).
+    /// This is the one-lane case of [`ControlSchedule::replay_lanes`].
     ///
     /// Refuses with a typed reason when the request does not match the
     /// captured spec (kernel, grid size, instance count).
@@ -257,52 +260,20 @@ impl ControlSchedule {
         kernel: &dyn Kernel,
         input: &[Word],
     ) -> Result<RunReport, ReplayUnsupported> {
-        if kernel.name() != self.kernel_name || kernel.latency() != self.kernel_latency {
-            return Err(ReplayUnsupported::KernelMismatch {
-                expected: format!("{} (latency {})", self.kernel_name, self.kernel_latency),
-                actual: format!("{} (latency {})", kernel.name(), kernel.latency()),
-            });
-        }
-        if input.len() != self.n {
-            return Err(ReplayUnsupported::InputLength {
-                expected: self.n,
-                actual: input.len(),
-            });
-        }
-        let mut cur = input.to_vec();
-        let mut next = vec![0u64; self.n];
-        let mut values: Vec<Word> = Vec::with_capacity(8);
-        for _ in 0..self.instances {
-            for (e, out) in next.iter_mut().enumerate() {
-                values.clear();
-                for s in self.gather.slots(e) {
-                    values.push(match *s {
-                        SlotSource::Grid(i) => cur[i as usize],
-                        SlotSource::Const(v) => v,
-                        SlotSource::Hole => 0,
-                    });
-                }
-                *out = kernel.apply(&values, self.gather.masks[e]);
-            }
-            std::mem::swap(&mut cur, &mut next);
-        }
-        let mut report = self.template.clone();
-        report.output = cur;
-        report.engine = RunEngine::Replay;
-        Ok(report)
+        let mut reports = self.replay_lanes(kernel, &[input])?;
+        Ok(reports.pop().expect("one lane in, one report out"))
     }
 
     /// Data-parallel replay: one schedule walk drives **all** lanes of a
     /// sweep at once.
     ///
     /// The grids are interleaved into a structure-of-arrays block — the
-    /// word for (element `e`, lane `l`) lives at `e * lanes + l` — so each
-    /// element's gather row is decoded *once* and applied across every
-    /// lane. Constants and boundary holes are lane-invariant and resolved
-    /// outside the lane loop; only grid reads differ per lane, and those
-    /// land on consecutive words of the block. Per lane the result is
-    /// bit-exact with [`ControlSchedule::replay`] of that lane's input
-    /// (and therefore with the full simulation).
+    /// word for (element `e`, lane `l`) lives at `e * lanes + l` — and each
+    /// instance is one [`Kernel::apply_rows`] call over the compact gather
+    /// rows: each row is read once and applied across every lane, and the
+    /// grid reads of one slot land on consecutive words of the block. Per
+    /// lane the result is bit-exact with the full simulation of that
+    /// lane's input.
     ///
     /// Refuses with a typed reason when the kernel or any lane's input
     /// length does not match the captured spec. An empty `inputs` returns
@@ -338,43 +309,18 @@ impl ControlSchedule {
             }
         }
         let mut next = vec![0u64; self.n * lanes];
-        let mut values: Vec<Word> = Vec::with_capacity(8);
-        let mut grid_slots: Vec<(usize, usize)> = Vec::with_capacity(8);
         for _ in 0..self.instances {
-            for e in 0..self.n {
-                // Decode the CSR row once per element: constants and holes
-                // fill `values` up front, grid slots are kept as (position,
-                // interleaved base index) for the per-lane overwrite.
-                let (slots, mask) = self.gather.row(e);
-                values.clear();
-                grid_slots.clear();
-                for (p, s) in slots.iter().enumerate() {
-                    values.push(match *s {
-                        SlotSource::Grid(i) => {
-                            grid_slots.push((p, i as usize * lanes));
-                            0
-                        }
-                        SlotSource::Const(v) => v,
-                        SlotSource::Hole => 0,
-                    });
-                }
-                let row = &mut next[e * lanes..(e + 1) * lanes];
-                for (l, out) in row.iter_mut().enumerate() {
-                    for &(p, base) in &grid_slots {
-                        values[p] = cur[base + l];
-                    }
-                    *out = kernel.apply(&values, mask);
-                }
-            }
+            kernel.apply_rows(&self.gather, lanes, &cur, &mut next);
             std::mem::swap(&mut cur, &mut next);
         }
-        let mut reports = Vec::with_capacity(lanes);
-        for l in 0..lanes {
-            let mut report = self.template.clone();
-            report.output = (0..self.n).map(|e| cur[e * lanes + l]).collect();
-            report.engine = RunEngine::Replay;
-            reports.push(report);
-        }
+        let reports = (0..lanes)
+            .map(|l| {
+                let mut report = self.template.clone();
+                report.output = cur.iter().skip(l).step_by(lanes).copied().collect();
+                report.engine = RunEngine::Replay;
+                report
+            })
+            .collect();
         Ok(reports)
     }
 }
@@ -386,14 +332,14 @@ impl ControlSchedule {
 /// the current input (the previous instance's captured output).
 pub(crate) fn build_gather_table(plan: &BufferPlan) -> CoreResult<GatherTable> {
     let n = plan.grid.len();
-    let mut table = GatherTable {
-        starts: Vec::with_capacity(n + 1),
-        sources: Vec::new(),
-        masks: Vec::with_capacity(n),
-    };
+    let width = plan.shape.len();
+    if width > MAX_GATHER_WIDTH {
+        return Err(CoreError::Config(format!(
+            "gather: {width}-point shape exceeds the {MAX_GATHER_WIDTH}-bit kernel mask"
+        )));
+    }
     let mut srcs: Vec<Option<SourceRef>> = Vec::new();
-    for e in 0..n {
-        table.starts.push(table.sources.len() as u32);
+    GatherTable::build(width, n, |e, slots| {
         plan.sources_for(e, &mut srcs)?;
         let mut mask = 0u64;
         for (p, src) in srcs.iter().enumerate() {
@@ -428,12 +374,10 @@ pub(crate) fn build_gather_table(plan: &BufferPlan) -> CoreResult<GatherTable> {
                     SlotSource::Grid(g as u32)
                 }
             };
-            table.sources.push(slot);
+            slots.push(slot);
         }
-        table.masks.push(mask);
-    }
-    table.starts.push(table.sources.len() as u32);
-    Ok(table)
+        Ok(mask)
+    })
 }
 
 impl SmacheSystem {
@@ -462,7 +406,8 @@ impl SmacheSystem {
 
         self.begin_capture();
         let outcome = self.run(input, instances);
-        let trace = self.take_capture().unwrap_or_default();
+        let mut trace = self.take_capture().unwrap_or_default();
+        trace.shrink_to_fit();
         let report = outcome?;
 
         let totals = trace.totals();
@@ -726,21 +671,35 @@ mod tests {
         let sys = paper_system();
         let table = build_gather_table(sys.plan()).expect("gather");
         assert_eq!(table.len(), 121);
+        assert_eq!(table.width(), 4);
+        let rows: Vec<_> = table.rows().collect();
         // Interior element: four grid sources, full mask.
-        assert_eq!(table.slots(60).len(), 4);
-        assert_eq!(table.masks[60], 0b1111);
-        assert_eq!(
-            table.slots(60),
-            &[
-                SlotSource::Grid(49),
-                SlotSource::Grid(59),
-                SlotSource::Grid(61),
-                SlotSource::Grid(71),
-            ]
-        );
+        assert_eq!(rows[60].mask, 0b1111);
+        assert_eq!(rows[60].index, &[49, 59, 61, 71]);
+        assert_eq!(rows[60].pos, &[0, 1, 2, 3]);
         // NW corner: west point is a hole, north wraps to the bottom row.
-        assert_eq!(table.masks[0], 0b1101);
-        assert_eq!(table.slots(0)[0], SlotSource::Grid(110));
-        assert_eq!(table.slots(0)[1], SlotSource::Hole);
+        assert_eq!(rows[0].mask, 0b1101);
+        assert_eq!(rows[0].index[0], 110);
+        assert_eq!(rows[0].pos, &[0, 2, 3]);
+        assert!(table.consts().is_empty());
+    }
+
+    #[test]
+    fn approx_bytes_counts_every_resident_vector() {
+        let mut sys = paper_system();
+        let (_, schedule) = sys.run_captured(&ramp(121), 100).expect("capture");
+        let resident = schedule.gather().approx_bytes()
+            + schedule.trace().records().len()
+            + schedule.kernel_name().len();
+        assert!(schedule.approx_bytes() >= resident);
+        // The trace keeps no spare capacity from recording.
+        assert_eq!(schedule.trace().approx_bytes(), 13_937);
+        // Smaller than the per-slot enum table it replaces (23,656 bytes
+        // for this Fig. 2 schedule).
+        assert!(
+            schedule.approx_bytes() <= 23_656,
+            "{}",
+            schedule.approx_bytes()
+        );
     }
 }

@@ -12,8 +12,9 @@
 //!
 //! 1. **Byte-identity.** A schedule loaded from disk replays bit-exact
 //!    with the in-memory capture it was saved from. The entry encodes the
-//!    packed [`ControlTrace`], the [`GatherTable`] and the canonical-JSON
-//!    report template verbatim; decode revalidates every structural
+//!    packed [`ControlTrace`], the [`GatherTable`] in its row form (one
+//!    `(tag, value)` triple per tuple slot) and the canonical-JSON report
+//!    template verbatim; decode revalidates every structural
 //!    invariant (CSR shape, grid-index bounds, trace totals vs template
 //!    stats) before handing a schedule out.
 //! 2. **Corruption is a typed miss, never a wrong answer.** Every entry
@@ -67,7 +68,7 @@ use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 
 use smache_sim::hash::fingerprint128;
-use smache_sim::{ControlTrace, CycleRecord, GatherTable, Json, SlotSource};
+use smache_sim::{ControlTrace, CycleRecord, GatherTable, Json, SlotSource, MAX_GATHER_WIDTH};
 
 use crate::system::replay::ControlSchedule;
 use crate::system::report::RunReport;
@@ -615,24 +616,31 @@ pub fn encode_entry(key: (u64, u64), schedule: &ControlSchedule) -> Vec<u8> {
     payload.extend_from_slice(&(schedule.len() as u64).to_le_bytes());
     payload.extend_from_slice(&schedule.instances().to_le_bytes());
 
+    // The gather table goes out in its row form: CSR starts over one
+    // `(tag, value)` triple per tuple slot, then the masks.
     let gather = schedule.gather();
-    payload.extend_from_slice(&(gather.starts.len() as u64).to_le_bytes());
-    for &s in &gather.starts {
-        payload.extend_from_slice(&s.to_le_bytes());
+    let width = gather.width();
+    payload.extend_from_slice(&(gather.len() as u64 + 1).to_le_bytes());
+    for e in 0..=gather.len() {
+        payload.extend_from_slice(&((e * width) as u32).to_le_bytes());
     }
-    payload.extend_from_slice(&(gather.sources.len() as u64).to_le_bytes());
-    for &s in &gather.sources {
-        let (tag, value): (u8, u64) = match s {
-            SlotSource::Grid(i) => (0, i as u64),
-            SlotSource::Const(v) => (1, v),
-            SlotSource::Hole => (2, 0),
-        };
-        payload.push(tag);
-        payload.extend_from_slice(&value.to_le_bytes());
+    payload.extend_from_slice(&((gather.len() * width) as u64).to_le_bytes());
+    let mut slots = Vec::with_capacity(width);
+    for row in gather.rows() {
+        row.sources(width, &mut slots);
+        for &s in &slots {
+            let (tag, value): (u8, u64) = match s {
+                SlotSource::Grid(i) => (0, i as u64),
+                SlotSource::Const(v) => (1, v),
+                SlotSource::Hole => (2, 0),
+            };
+            payload.push(tag);
+            payload.extend_from_slice(&value.to_le_bytes());
+        }
     }
-    payload.extend_from_slice(&(gather.masks.len() as u64).to_le_bytes());
-    for &m in &gather.masks {
-        payload.extend_from_slice(&m.to_le_bytes());
+    payload.extend_from_slice(&(gather.len() as u64).to_le_bytes());
+    for row in gather.rows() {
+        payload.extend_from_slice(&row.mask.to_le_bytes());
     }
 
     let records = schedule.trace().records();
@@ -806,9 +814,24 @@ fn decode_payload(payload: &[u8]) -> Result<ControlSchedule, StoreError> {
     if starts.last().copied() != Some(sources.len() as u32) {
         return Err(malformed("CSR sentinel does not cover the source table"));
     }
+    // Replay reads every tuple at one width, one mask bit per slot.
+    let width = starts.get(1).map_or(0, |&s| s as usize);
+    if starts.windows(2).any(|w| (w[1] - w[0]) as usize != width) {
+        return Err(malformed("CSR rows must all have the same width"));
+    }
+    if width > MAX_GATHER_WIDTH {
+        return Err(malformed(format!(
+            "{width}-slot rows exceed the {MAX_GATHER_WIDTH}-bit kernel mask"
+        )));
+    }
     if !template.output.is_empty() {
         return Err(malformed("report template must carry no output"));
     }
+
+    let gather = GatherTable::build(width, n, |e, slots| {
+        slots.extend_from_slice(&sources[e * width..(e + 1) * width]);
+        Ok::<u64, StoreError>(masks[e])
+    })?;
 
     let trace = ControlTrace::from_records(records);
     let totals = trace.totals();
@@ -829,11 +852,7 @@ fn decode_payload(payload: &[u8]) -> Result<ControlSchedule, StoreError> {
         instances,
         kernel_name,
         kernel_latency,
-        GatherTable {
-            starts,
-            sources,
-            masks,
-        },
+        gather,
         trace,
         template,
     ))

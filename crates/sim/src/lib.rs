@@ -104,8 +104,8 @@ pub use json::{Json, JsonError};
 pub use module::{Module, Sensitivity};
 pub use parallel::{run_batch, run_scatter};
 pub use replay::{
-    ControlTrace, CycleRecord, GatherTable, ReplayUnsupported, ScheduleCache, SlotSource,
-    TraceTotals,
+    ConstSlot, ControlTrace, CycleRecord, GatherRow, GatherRows, GatherTable, ReplayUnsupported,
+    ScheduleCache, SlotSource, TraceTotals, MAX_GATHER_WIDTH,
 };
 pub use resources::ResourceUsage;
 pub use sched::SchedStats;

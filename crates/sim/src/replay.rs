@@ -14,10 +14,11 @@
 //!
 //! This module holds the engine-agnostic pieces:
 //!
-//! * [`SlotSource`] / [`GatherTable`] — the per-element read pattern in CSR
-//!   form: for each output element, where each stencil-shape value comes
-//!   from (a current-instance grid index, a boundary constant, or a hole
-//!   masked out of the kernel).
+//! * [`GatherTable`] — the per-element read pattern in the compact form
+//!   replay reads: per grid slot a `u32` grid index and a `u8` slot
+//!   position, per element a kernel mask and a row start, and a side list
+//!   for the rare boundary constants. [`SlotSource`] is the per-slot row
+//!   form it is built from and written back to.
 //! * [`ControlTrace`] — the packed per-cycle control-plane record
 //!   ([`CycleRecord`]: FSM phase plus handshake/stall flags) with the
 //!   derived totals that replay reports instead of re-simulating.
@@ -44,6 +45,10 @@ use crate::Word;
 /// instance because each instance's input is the previous instance's output
 /// and all architectural reads (stream taps and static banks alike) resolve
 /// to current-instance grid indices.
+///
+/// This is the row form a [`GatherTable`] is built from and written back
+/// to (the store's on-disk `(tag, value)` triples); the table itself keeps
+/// the compact layout replay reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlotSource {
     /// Read the current-instance input grid at this flat index.
@@ -55,20 +60,168 @@ pub enum SlotSource {
     Hole,
 }
 
-/// The per-element gather pattern in compressed sparse row form:
-/// element `e`'s slots are `sources[starts[e]..starts[e + 1]]`, and
-/// `masks[e]` is the kernel mask (bit `i` set when slot `i` is present).
+/// One boundary constant of one element, kept in the table's side list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConstSlot {
+    /// The constant's value.
+    pub value: Word,
+    /// The element whose tuple reads it.
+    pub elem: u32,
+    /// Its slot position in the tuple.
+    pub pos: u8,
+}
+
+/// The largest tuple a gather table holds: one bit of the `u64` kernel
+/// mask per slot.
+pub const MAX_GATHER_WIDTH: usize = 64;
+
+/// The per-element gather pattern, in the compact form replay reads.
+///
+/// Every element's tuple has the same `width` slots. Element `e`'s grid
+/// slots are `starts[e]..starts[e + 1]` of two parallel arrays — the
+/// current-instance grid index (`u32`) and the slot position (`u8`) — and
+/// `masks[e]` is its kernel mask (bit `p` set when slot `p` is present).
+/// Boundary constants are rare, so they live in a side list ordered by
+/// element. Any slot that is neither a grid read nor a constant is a hole
+/// and reads as zero.
 #[derive(Debug, Clone, Default)]
 pub struct GatherTable {
-    /// CSR row starts, one per element plus a final sentinel.
-    pub starts: Vec<u32>,
-    /// Flattened slot sources for all elements.
-    pub sources: Vec<SlotSource>,
-    /// Kernel mask per element.
-    pub masks: Vec<u64>,
+    width: usize,
+    all_present: bool,
+    starts: Vec<u32>,
+    index: Vec<u32>,
+    pos: Vec<u8>,
+    masks: Vec<u64>,
+    consts: Vec<ConstSlot>,
+}
+
+/// One element's gather row, as [`GatherTable::rows`] yields it.
+#[derive(Debug, Clone, Copy)]
+pub struct GatherRow<'a> {
+    /// Grid index of each grid slot.
+    pub index: &'a [u32],
+    /// Slot position of each grid slot (parallel to `index`).
+    pub pos: &'a [u8],
+    /// The element's boundary constants.
+    pub consts: &'a [ConstSlot],
+    /// The element's kernel mask.
+    pub mask: u64,
+}
+
+impl GatherRow<'_> {
+    /// Writes the row back out as one [`SlotSource`] per tuple slot.
+    pub fn sources(&self, width: usize, out: &mut Vec<SlotSource>) {
+        out.clear();
+        out.resize(width, SlotSource::Hole);
+        for (&i, &p) in self.index.iter().zip(self.pos) {
+            out[p as usize] = SlotSource::Grid(i);
+        }
+        for c in self.consts {
+            out[c.pos as usize] = SlotSource::Const(c.value);
+        }
+    }
+}
+
+/// Iterator over a [`GatherTable`]'s rows in element order.
+pub struct GatherRows<'a> {
+    starts: std::slice::Windows<'a, u32>,
+    masks: std::slice::Iter<'a, u64>,
+    index: &'a [u32],
+    pos: &'a [u8],
+    /// Constants of this and later elements.
+    consts: &'a [ConstSlot],
+    e: u32,
+}
+
+impl<'a> Iterator for GatherRows<'a> {
+    type Item = GatherRow<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<GatherRow<'a>> {
+        let (w, &mask) = self.starts.next().zip(self.masks.next())?;
+        let (a, b) = (w[0] as usize, w[1] as usize);
+        let mut k = 0;
+        while self.consts.get(k).is_some_and(|c| c.elem == self.e) {
+            k += 1;
+        }
+        let (consts, rest) = self.consts.split_at(k);
+        self.consts = rest;
+        self.e += 1;
+        Some(GatherRow {
+            index: &self.index[a..b],
+            pos: &self.pos[a..b],
+            consts,
+            mask,
+        })
+    }
 }
 
 impl GatherTable {
+    /// Builds a table of `n` elements with `width`-slot tuples. `row(e,
+    /// slots)` fills `slots` with element `e`'s sources (exactly `width` of
+    /// them) and returns its kernel mask; its first error aborts the build.
+    /// The finished table holds no spare capacity.
+    ///
+    /// # Panics
+    ///
+    /// When `width` exceeds [`MAX_GATHER_WIDTH`], a row has the wrong
+    /// number of slots, or the table would hold more than `u32::MAX` grid
+    /// slots — caller bugs, which store decoding rules out before it
+    /// builds.
+    pub fn build<E>(
+        width: usize,
+        n: usize,
+        mut row: impl FnMut(usize, &mut Vec<SlotSource>) -> Result<u64, E>,
+    ) -> Result<GatherTable, E> {
+        assert!(
+            width <= MAX_GATHER_WIDTH,
+            "gather width {width} exceeds the mask"
+        );
+        let mut table = GatherTable {
+            width,
+            all_present: true,
+            starts: Vec::with_capacity(n + 1),
+            index: Vec::with_capacity(n * width),
+            pos: Vec::with_capacity(n * width),
+            masks: Vec::with_capacity(n),
+            consts: Vec::new(),
+        };
+        let mut slots = Vec::with_capacity(width);
+        for e in 0..n {
+            table.starts.push(table.index.len() as u32);
+            slots.clear();
+            let mask = row(e, &mut slots)?;
+            table.masks.push(mask);
+            assert_eq!(slots.len(), width, "element {e}: gather row width");
+            for (p, s) in slots.iter().enumerate() {
+                if *s != SlotSource::Hole && mask >> p & 1 == 0 {
+                    table.all_present = false;
+                }
+                match *s {
+                    SlotSource::Grid(i) => {
+                        table.index.push(i);
+                        table.pos.push(p as u8);
+                    }
+                    SlotSource::Const(value) => table.consts.push(ConstSlot {
+                        value,
+                        elem: e as u32,
+                        pos: p as u8,
+                    }),
+                    SlotSource::Hole => {}
+                }
+            }
+        }
+        assert!(
+            u32::try_from(table.index.len()).is_ok(),
+            "gather table too large"
+        );
+        table.starts.push(table.index.len() as u32);
+        table.index.shrink_to_fit();
+        table.pos.shrink_to_fit();
+        table.consts.shrink_to_fit();
+        Ok(table)
+    }
+
     /// Number of elements covered by the table.
     pub fn len(&self) -> usize {
         self.masks.len()
@@ -79,25 +232,44 @@ impl GatherTable {
         self.masks.is_empty()
     }
 
-    /// The slot sources of element `e`.
-    #[inline]
-    pub fn slots(&self, e: usize) -> &[SlotSource] {
-        &self.sources[self.starts[e] as usize..self.starts[e + 1] as usize]
+    /// Slots in every element's tuple.
+    pub fn width(&self) -> usize {
+        self.width
     }
 
-    /// The full gather row of element `e`: slot sources plus kernel mask,
-    /// fetched together — the one decode a lane-batched replay performs
-    /// per element before fanning out across lanes.
-    #[inline]
-    pub fn row(&self, e: usize) -> (&[SlotSource], u64) {
-        (self.slots(e), self.masks[e])
+    /// True when every grid slot and constant has its element's mask bit
+    /// set, so a kernel may read a row's slots without checking the mask.
+    /// Every table capture builds has this property.
+    pub fn all_present(&self) -> bool {
+        self.all_present
     }
 
-    /// Approximate heap footprint in bytes (cache accounting).
+    /// The boundary constants of every element, in element order.
+    pub fn consts(&self) -> &[ConstSlot] {
+        &self.consts
+    }
+
+    /// Every element's gather row, in element order.
+    #[inline]
+    pub fn rows(&self) -> GatherRows<'_> {
+        GatherRows {
+            starts: self.starts.windows(2),
+            masks: self.masks.iter(),
+            index: &self.index,
+            pos: &self.pos,
+            consts: &self.consts,
+            e: 0,
+        }
+    }
+
+    /// Heap bytes the table holds: the capacity of every vector.
     pub fn approx_bytes(&self) -> usize {
-        self.starts.len() * 4
-            + self.sources.len() * std::mem::size_of::<SlotSource>()
-            + self.masks.len() * 8
+        use std::mem::size_of;
+        self.starts.capacity() * size_of::<u32>()
+            + self.index.capacity() * size_of::<u32>()
+            + self.pos.capacity() * size_of::<u8>()
+            + self.masks.capacity() * size_of::<u64>()
+            + self.consts.capacity() * size_of::<ConstSlot>()
     }
 }
 
@@ -173,6 +345,11 @@ impl ControlTrace {
         ControlTrace { records }
     }
 
+    /// Drops spare capacity left over from recording.
+    pub fn shrink_to_fit(&mut self) {
+        self.records.shrink_to_fit();
+    }
+
     /// Appends one cycle's record.
     #[inline]
     pub fn record(&mut self, record: CycleRecord) {
@@ -209,9 +386,9 @@ impl ControlTrace {
         t
     }
 
-    /// Approximate heap footprint in bytes (cache accounting).
+    /// Heap bytes the trace holds: its vector's capacity.
     pub fn approx_bytes(&self) -> usize {
-        self.records.len()
+        self.records.capacity()
     }
 }
 
@@ -492,16 +669,57 @@ mod tests {
         assert_eq!(totals.stall_cycles, 1);
     }
 
+    fn two_row_table() -> GatherTable {
+        let rows = [
+            vec![SlotSource::Grid(4), SlotSource::Hole, SlotSource::Grid(1)],
+            vec![SlotSource::Const(9), SlotSource::Grid(0), SlotSource::Hole],
+        ];
+        GatherTable::build(3, 2, |e, slots| {
+            slots.extend_from_slice(&rows[e]);
+            Ok::<u64, ()>([0b101, 0b011][e])
+        })
+        .expect("build")
+    }
+
     #[test]
-    fn gather_table_csr_rows() {
-        let table = GatherTable {
-            starts: vec![0, 2, 3],
-            sources: vec![SlotSource::Grid(4), SlotSource::Hole, SlotSource::Const(9)],
-            masks: vec![0b01, 0b1],
-        };
+    fn gather_table_rows_round_trip() {
+        let table = two_row_table();
         assert_eq!(table.len(), 2);
-        assert_eq!(table.slots(0), &[SlotSource::Grid(4), SlotSource::Hole]);
-        assert_eq!(table.slots(1), &[SlotSource::Const(9)]);
+        assert_eq!(table.width(), 3);
+        assert!(table.all_present());
+        let rows: Vec<GatherRow<'_>> = table.rows().collect();
+        assert_eq!(rows[0].index, &[4, 1]);
+        assert_eq!(rows[0].pos, &[0, 2]);
+        assert!(rows[0].consts.is_empty());
+        assert_eq!(rows[1].mask, 0b011);
+        assert_eq!(rows[1].consts.len(), 1);
+        let mut out = Vec::new();
+        rows[0].sources(3, &mut out);
+        assert_eq!(
+            out,
+            [SlotSource::Grid(4), SlotSource::Hole, SlotSource::Grid(1)]
+        );
+        rows[1].sources(3, &mut out);
+        assert_eq!(
+            out,
+            [SlotSource::Const(9), SlotSource::Grid(0), SlotSource::Hole]
+        );
+    }
+
+    #[test]
+    fn gather_table_counts_every_vector_capacity() {
+        let table = two_row_table();
+        let resident = table.starts.capacity() * 4
+            + table.index.capacity() * 4
+            + table.pos.capacity()
+            + table.masks.capacity() * 8
+            + table.consts.capacity() * std::mem::size_of::<ConstSlot>();
+        assert!(table.approx_bytes() >= resident);
+        let mut trace = ControlTrace::new();
+        for _ in 0..5 {
+            trace.record(CycleRecord(0));
+        }
+        assert!(trace.approx_bytes() >= trace.records.capacity());
     }
 
     #[test]

@@ -25,7 +25,7 @@ fn main() {
         "stream buffer: {} words (lookahead {}, lookback {})",
         plan.capacity, plan.lookahead, plan.lookback
     );
-    for b in &plan.static_buffers {
+    for b in plan.static_buffers.iter() {
         println!(
             "static buffer {}: {} words, serves stream offset {:+} of elements {}..{}",
             b.name,

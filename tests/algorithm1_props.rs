@@ -86,7 +86,7 @@ proptest! {
             prop_assert!(tap < global.capacity);
         }
         // Static regions within the grid; slots map back to grid indices.
-        for b in &global.static_buffers {
+        for b in global.static_buffers.iter() {
             prop_assert!(b.region_start + b.len <= grid.len());
             prop_assert!(b.range_start + b.len <= grid.len());
         }

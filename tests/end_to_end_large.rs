@@ -124,7 +124,7 @@ fn codegen_works_for_varied_plans() {
         }
         // The top must mention every static buffer and the window centre.
         let top = design.file("smache_top.v").expect("top exists");
-        for b in &plan.static_buffers {
+        for b in plan.static_buffers.iter() {
             assert!(top.contains(&format!("sb_{}", b.id)));
         }
     }

@@ -17,7 +17,7 @@
 //! data seeds.
 
 use proptest::prelude::*;
-use smache::arch::kernel::{AverageKernel, Kernel, MaxKernel, SumKernel};
+use smache::arch::kernel::{AverageKernel, Kernel, MaxKernel, SumKernel, WeightedKernel};
 use smache::system::batch::{BatchJob, BatchOptions};
 use smache::system::{ReplayMode, RunEngine, SmacheSystem};
 use smache::{CoreError, HybridMode, SmacheBuilder};
@@ -510,4 +510,154 @@ fn schedule_refuses_mismatched_requests() {
         schedule.replay(&MaxKernel, &seeded(W * W, 0)),
         Err(ReplayUnsupported::KernelMismatch { .. })
     ));
+}
+
+/// A test-only kernel that keeps [`Kernel::apply_rows`]'s provided body.
+/// Its result depends on every present value, its slot position and the
+/// mask, so a slot read from the wrong lane, element or position shows.
+struct PositionalXor;
+
+impl Kernel for PositionalXor {
+    fn name(&self) -> &str {
+        "positional-xor"
+    }
+
+    fn apply(&self, values: &[u64], mask: u64) -> u64 {
+        values
+            .iter()
+            .enumerate()
+            .filter(|&(p, _)| mask >> p & 1 == 1)
+            .fold(mask, |a, (p, &v)| {
+                a.rotate_left(7) ^ v.rotate_left(p as u32 * 5)
+            })
+    }
+
+    fn resources(&self) -> smache_sim::ResourceUsage {
+        smache_sim::ResourceUsage::default()
+    }
+}
+
+/// The four built-in kernels plus the default-`apply_rows` test kernel.
+fn differential_kernels() -> Vec<Box<dyn Kernel>> {
+    vec![
+        Box::new(AverageKernel),
+        Box::new(SumKernel),
+        Box::new(MaxKernel),
+        Box::new(WeightedKernel::new("w19", (1..=9).collect()).expect("weights")),
+        Box::new(PositionalXor),
+    ]
+}
+
+/// One lane's input of word class `class`: 0 large words in
+/// `[2^57, 2^58)` (row sums still fit `u64`), 1 small words, 2 large
+/// words with `u64::MAX` sprinkled in (row sums overflow `u64`).
+fn wide_input(n: usize, seed: usize, class: usize) -> Vec<u64> {
+    let base = seeded(n, seed as u64 + 11);
+    base.iter()
+        .enumerate()
+        .map(|(i, &v)| {
+            let spread = v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            match class {
+                0 => 1 << 57 | spread >> 7,
+                1 => v,
+                _ if i % 5 == seed % 5 => u64::MAX,
+                _ => 1 << 58 | spread >> 6,
+            }
+        })
+        .collect()
+}
+
+/// Compiled replay against `SmacheSystem::run`: every kernel — the
+/// overriding `AverageKernel` and the provided `apply_rows` of the rest —
+/// over the nine-case grid, an 8×8×8 circular grid, a 24×24 nine-point
+/// mirror/open grid and a latency-only chaos plan, at lane counts that hit
+/// whole eight-lane blocks, remainders and both sum paths. Every lane of
+/// every block must equal its own full simulation (outputs and cycle
+/// accounting) bit for bit.
+#[test]
+fn compiled_replay_matches_full_sim_for_every_kernel_and_lane_count() {
+    let spec = |pairs: &[(&str, &str)]| {
+        let map: std::collections::BTreeMap<String, String> = pairs
+            .iter()
+            .map(|&(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        smache::ProblemSpec::from_source(&map).expect("spec")
+    };
+    let nine_case = spec(&[("grid", "11x11")]);
+    let cube = spec(&[("grid", "8x8x8"), ("bounds", "circular")]);
+    let mirror = spec(&[
+        ("grid", "24x24"),
+        ("shape", "nine"),
+        ("rows", "mirror"),
+        ("cols", "open"),
+    ]);
+    let chaos = Some(FaultPlan::new(5, ChaosProfile::storms()));
+    let cases = [
+        ("nine-case", &nine_case, 3, None),
+        ("8x8x8 circular", &cube, 2, None),
+        ("24x24 nine-point", &mirror, 2, None),
+        ("latency-only chaos", &nine_case, 2, chaos),
+    ];
+    const LANE_COUNTS: [usize; 7] = [1, 2, 3, 4, 16, 17, 64];
+    // Full simulations are the expensive half: lanes past the seventeenth
+    // reuse earlier inputs (never a neighbour's), so every lane count
+    // still checks against a real run. One pool keeps every row sum
+    // within `u64`, so whole blocks take `AverageKernel`'s `u64` path; the
+    // other mixes in `u64::MAX`, so blocks of three or more lanes take the
+    // `u128` path.
+    const DISTINCT: usize = 17;
+    for (name, spec, instances, plan) in cases {
+        let n = spec.grid.len();
+        let pools: [Vec<Vec<u64>>; 2] = [
+            (0..DISTINCT).map(|l| wide_input(n, l, l % 2)).collect(),
+            (0..DISTINCT)
+                .map(|l| wide_input(n, DISTINCT + l, l % 3))
+                .collect(),
+        ];
+        for kernel_id in 0..differential_kernels().len() {
+            let builder = || {
+                let mut b = spec
+                    .builder()
+                    .word_bits(64)
+                    .kernel(differential_kernels().swap_remove(kernel_id));
+                if let Some(plan) = plan {
+                    b = b.fault_plan(plan);
+                }
+                b
+            };
+            let kernel = &differential_kernels()[kernel_id];
+            let label = format!("{name} / {}", kernel.name());
+            let (_, schedule) = builder()
+                .build()
+                .expect("build")
+                .run_captured(&pools[0][0], instances)
+                .unwrap_or_else(|e| panic!("{label}: capture: {e}"));
+            for (p, inputs) in pools.iter().enumerate() {
+                let full: Vec<_> = inputs
+                    .iter()
+                    .map(|input| {
+                        builder()
+                            .build()
+                            .expect("build")
+                            .run(input, instances)
+                            .expect("run")
+                    })
+                    .collect();
+                for lanes in LANE_COUNTS {
+                    let views: Vec<&[u64]> =
+                        (0..lanes).map(|l| &inputs[l % DISTINCT][..]).collect();
+                    let replayed = schedule
+                        .replay_lanes(kernel.as_ref(), &views)
+                        .unwrap_or_else(|e| panic!("{label}: {lanes} lanes: {e}"));
+                    for (l, report) in replayed.iter().enumerate() {
+                        let want = &full[l % DISTINCT];
+                        let at = format!("{label}: pool {p}, lane {l} of {lanes}");
+                        assert_eq!(report.output, want.output, "{at}");
+                        assert_eq!(report.stats, want.stats, "{at}");
+                        assert_eq!(report.metrics.cycles, want.metrics.cycles, "{at}");
+                    }
+                }
+            }
+        }
+    }
 }

@@ -7,11 +7,14 @@
 //!
 //! - the LRU byte budget holds on disk, not just in the index;
 //! - damaged entries are discarded and recaptured, never served;
-//! - atomic publishes mean a reader never observes a half-written entry.
+//! - atomic publishes mean a reader never observes a half-written entry;
+//! - the on-disk entry format does not drift: a committed entry still
+//!   decodes, replays bit-exact and re-encodes byte for byte.
 
 use smache::arch::kernel::AverageKernel;
-use smache::system::store::encode_entry;
-use smache::system::{ControlSchedule, RunEngine, ScheduleStore};
+use smache::functional::golden::golden_run;
+use smache::system::store::{decode_entry, encode_entry};
+use smache::system::{schedule_key, ControlSchedule, RunEngine, ScheduleStore};
 use smache::SmacheBuilder;
 use smache_stencil::{BoundarySpec, GridSpec, StencilShape};
 use std::sync::Arc;
@@ -255,4 +258,50 @@ fn restart_eviction_is_deterministic_when_mtimes_tie() {
         vec![(3, 3), (4, 4)],
         "the tie breaks by key order: highest keys rank most-recently-used"
     );
+}
+
+/// `tests/golden/store_11x11_i2.sched` is a store entry for the 11×11
+/// four-point paper problem at 2 instances, written by an earlier release
+/// of the encoder. It must still decode to the key today's planner derives,
+/// replay fresh inputs bit-exact against `golden_run` and a full
+/// simulation, and re-encode to the identical bytes.
+#[test]
+fn committed_entry_decodes_replays_and_reencodes_identically() {
+    let bytes = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/store_11x11_i2.sched"
+    ))
+    .expect("fixture");
+    let (key, schedule) = decode_entry(&bytes).expect("decode");
+    assert_eq!(encode_entry(key, &schedule), bytes, "wire format drifted");
+
+    let (grid, shape, bounds) = (
+        GridSpec::d2(11, 11).expect("grid"),
+        StencilShape::four_point_2d(),
+        BoundarySpec::paper_case(),
+    );
+    let build = || {
+        SmacheBuilder::new(grid.clone())
+            .shape(shape.clone())
+            .boundaries(bounds.clone())
+            .build()
+            .expect("build")
+    };
+    let sys = build();
+    assert_eq!(
+        key,
+        schedule_key(sys.plan(), sys.config(), &AverageKernel, 2),
+        "schedule key drifted"
+    );
+    assert_eq!(schedule.key(), key);
+    assert_eq!(schedule.instances(), 2);
+    for seed in [3, 7, 1 << 40] {
+        let input = seeded(121, seed);
+        let replayed = schedule.replay(&AverageKernel, &input).expect("replay");
+        let golden = golden_run(&grid, &bounds, &shape, &AverageKernel, &input, 2).expect("golden");
+        assert_eq!(replayed.output, golden, "seed {seed}");
+        let full = build().run(&input, 2).expect("run");
+        assert_eq!(replayed.stats, full.stats, "seed {seed}");
+        assert_eq!(replayed.metrics.cycles, full.metrics.cycles, "seed {seed}");
+    }
 }

@@ -34,7 +34,7 @@ fn planner_statifies_plane_wraps() {
     assert_eq!(plan.lookback, plane);
     assert_eq!(plan.capacity, 2 * plane + 3);
     assert_eq!(plan.static_buffers.len(), 2, "top and bottom planes");
-    for b in &plan.static_buffers {
+    for b in plan.static_buffers.iter() {
         assert_eq!(b.len, plane, "each static buffer holds a whole plane");
         assert_eq!(b.offset.unsigned_abs(), ((d - 1) * plane) as u64);
     }
