@@ -23,12 +23,14 @@
 //! then reads position `A+1−o`. After the last real element the controller
 //! flushes zeros until every element has passed the centre.
 
+use std::sync::Arc;
+
 use smache_sim::telemetry::{ProbeKind, ProbeRegistry, Probed};
 use smache_sim::{ResourceUsage, SimResult, Word};
 
 use crate::arch::static_buffer::StaticBank;
 use crate::arch::stream_buffer::StreamBuffer;
-use crate::config::{BufferPlan, SourceRef};
+use crate::config::{BufferPlan, SourceSlot, SourceTable};
 use crate::cost::SynthesisModel;
 use crate::CoreResult;
 
@@ -64,6 +66,12 @@ impl SmacheResourceBreakdown {
 /// The Smache module proper.
 pub struct SmacheModule {
     plan: BufferPlan,
+    /// FSM-2's wiring, resolved once at elaboration.
+    sources: Arc<SourceTable>,
+    /// Elements per instance (`plan.grid.len()`).
+    n: usize,
+    /// Shifts per instance: real words plus the flush (`n + lookahead + 1`).
+    shifts_per_instance: u64,
     stream: StreamBuffer,
     banks: Vec<StaticBank>,
     phase: ControllerPhase,
@@ -82,12 +90,26 @@ pub struct SmacheModule {
     next_emit: usize,
     /// Current work-instance number.
     instance: u64,
-    scratch_sources: Vec<Option<SourceRef>>,
 }
 
 impl SmacheModule {
-    /// Instantiates buffers and FSMs for a plan.
+    /// Instantiates buffers and FSMs for a plan, resolving every element's
+    /// stencil sources once. A plan whose wiring cannot be resolved (an
+    /// element no range covers, a statified offset no static buffer
+    /// serves, more than two reads of one static buffer) fails here with
+    /// [`CoreError::Config`](crate::CoreError::Config), never mid-run.
     pub fn new(plan: BufferPlan) -> CoreResult<Self> {
+        let sources = Arc::new(SourceTable::build(&plan)?);
+        Self::with_sources(plan, sources)
+    }
+
+    /// Like [`SmacheModule::new`], but wired from an already resolved
+    /// table of the same plan — the T stages of a temporal pipeline share
+    /// one.
+    pub(crate) fn with_sources(plan: BufferPlan, sources: Arc<SourceTable>) -> CoreResult<Self> {
+        let n = plan.grid.len();
+        debug_assert_eq!((sources.len(), sources.width()), (n, plan.shape.len()));
+        let shifts_per_instance = n as u64 + plan.lookahead as u64 + 1;
         let stream = StreamBuffer::from_plan(&plan)?;
         let mut banks = Vec::with_capacity(plan.static_buffers.len());
         let mut prefetch_map = Vec::new();
@@ -106,6 +128,9 @@ impl SmacheModule {
         };
         Ok(SmacheModule {
             plan,
+            sources,
+            n,
+            shifts_per_instance,
             stream,
             banks,
             phase,
@@ -116,13 +141,17 @@ impl SmacheModule {
             applied: 0,
             next_emit: 0,
             instance: 0,
-            scratch_sources: Vec::new(),
         })
     }
 
     /// The plan this module implements.
     pub fn plan(&self) -> &BufferPlan {
         &self.plan
+    }
+
+    /// The resolved source table FSM-2 gathers through.
+    pub(crate) fn sources(&self) -> &Arc<SourceTable> {
+        &self.sources
     }
 
     /// Current phase.
@@ -161,13 +190,12 @@ impl SmacheModule {
     /// FSM-2: true while this instance still needs words shifted in
     /// (real data first, then flush zeros).
     pub fn wants_shift(&self) -> bool {
-        self.phase == ControllerPhase::Streaming
-            && self.pushed < self.plan.grid.len() as u64 + self.plan.lookahead as u64 + 1
+        self.phase == ControllerPhase::Streaming && self.pushed < self.shifts_per_instance
     }
 
     /// Number of *real* words this instance still needs from DRAM.
     pub fn real_words_remaining(&self) -> u64 {
-        (self.plan.grid.len() as u64).saturating_sub(self.pushed)
+        (self.n as u64).saturating_sub(self.pushed)
     }
 
     /// FSM-2: stages a shift of the next word (a DRAM word while real data
@@ -190,7 +218,7 @@ impl SmacheModule {
             return None;
         }
         let e = self.next_emit;
-        if e < self.plan.grid.len() && self.applied >= e as u64 + self.plan.lookahead as u64 + 2 {
+        if e < self.n && self.applied >= e as u64 + self.plan.lookahead as u64 + 2 {
             Some(e)
         } else {
             None
@@ -204,50 +232,33 @@ impl SmacheModule {
     /// cycle.
     pub fn gather(&mut self, e: usize, values: &mut Vec<Word>) -> CoreResult<u64> {
         values.clear();
-        let mut sources = std::mem::take(&mut self.scratch_sources);
-        self.plan.sources_for(e, &mut sources)?;
-        let mut mask = 0u64;
-        for (p, src) in sources.iter().enumerate() {
-            match *src {
-                None => values.push(0),
-                Some(SourceRef::Tap { pos }) => {
-                    values.push(self.stream.read_pos(pos)?);
-                    mask |= 1 << p;
+        let table = &*self.sources;
+        for src in table.row(e) {
+            values.push(match *src {
+                SourceSlot::Hole => 0,
+                SourceSlot::Tap(pos) => self.stream.read_pos(pos as usize)?,
+                SourceSlot::Static { bank, port, .. } => {
+                    self.banks[bank as usize].out_port(port as usize)
                 }
-                Some(SourceRef::Static {
-                    buffer,
-                    slot: _,
-                    port,
-                }) => {
-                    values.push(self.banks[buffer].out_port(port));
-                    mask |= 1 << p;
-                }
-                Some(SourceRef::Constant(v)) => {
-                    values.push(v);
-                    mask |= 1 << p;
-                }
-            }
+                SourceSlot::Const(i) => table.consts()[i as usize],
+            });
         }
-        self.scratch_sources = sources;
         self.next_emit = e + 1;
-        Ok(mask)
+        Ok(table.mask(e))
     }
 
     /// FSM-2: pre-issues the static-bank reads for the element that will be
     /// emitted next cycle (bank reads have one cycle of latency). Call once
     /// per cycle, before [`SmacheModule::tick`].
     pub fn preissue_static_reads(&mut self) -> CoreResult<()> {
-        if self.phase != ControllerPhase::Streaming || self.next_emit >= self.plan.grid.len() {
+        if self.phase != ControllerPhase::Streaming || self.next_emit >= self.n {
             return Ok(());
         }
-        let mut sources = std::mem::take(&mut self.scratch_sources);
-        self.plan.sources_for(self.next_emit, &mut sources)?;
-        for src in sources.iter().flatten() {
-            if let SourceRef::Static { buffer, slot, port } = *src {
-                self.banks[buffer].stage_read_port(port, slot)?;
+        for src in self.sources.row(self.next_emit) {
+            if let SourceSlot::Static { bank, port, slot } = *src {
+                self.banks[bank as usize].stage_read_port(port as usize, slot as usize)?;
             }
         }
-        self.scratch_sources = sources;
         Ok(())
     }
 
@@ -267,7 +278,7 @@ impl SmacheModule {
 
     /// True when every element of the current instance has been emitted.
     pub fn instance_emitted(&self) -> bool {
-        self.next_emit >= self.plan.grid.len()
+        self.next_emit >= self.n
     }
 
     /// Ends the instance: swaps the static banks (shadow→active), resets

@@ -31,12 +31,6 @@ enum Section {
 }
 
 impl Section {
-    fn first(&self) -> usize {
-        match self {
-            Section::Regs { first, .. } | Section::Stretch { first, .. } => *first,
-        }
-    }
-
     fn len(&self) -> usize {
         match self {
             Section::Regs { regs, .. } => regs.len(),
@@ -56,6 +50,8 @@ impl Section {
 /// The stream buffer.
 pub struct StreamBuffer {
     sections: Vec<Section>,
+    /// Section index of every window position.
+    section_of: Vec<u32>,
     capacity: usize,
     word_bits: u32,
     staged_shift: Option<Word>,
@@ -82,8 +78,14 @@ impl StreamBuffer {
                 }),
             }
         }
+        let section_of = sections
+            .iter()
+            .enumerate()
+            .flat_map(|(i, s)| std::iter::repeat_n(i as u32, s.len()))
+            .collect();
         Ok(StreamBuffer {
             sections,
+            section_of,
             capacity: plan.capacity,
             word_bits: plan.word_bits,
             staged_shift: None,
@@ -122,9 +124,9 @@ impl StreamBuffer {
     /// errors — the hybrid's structural constraint.
     pub fn read_pos(&self, pos: usize) -> SimResult<Word> {
         let section = self
-            .sections
-            .iter()
-            .find(|s| pos >= s.first() && pos < s.first() + s.len())
+            .section_of
+            .get(pos)
+            .map(|&i| &self.sections[i as usize])
             .ok_or(SimError::AddressOutOfRange {
                 memory: "stream_buffer".into(),
                 addr: pos,
@@ -157,12 +159,11 @@ impl StreamBuffer {
         let Some(input) = self.staged_shift.take() else {
             return Ok(());
         };
-        // Capture every section's outgoing word before anything moves
-        // (synchronous semantics: all sections shift simultaneously).
-        let tails: Vec<Word> = self.sections.iter().map(|s| s.tail_value()).collect();
-
+        // All sections shift simultaneously: each hands its pre-edge tail
+        // to the next, so the tail is read before the section moves.
         let mut carry = input;
-        for (i, section) in self.sections.iter_mut().enumerate() {
+        for section in self.sections.iter_mut() {
+            let tail = section.tail_value();
             match section {
                 Section::Regs { regs, .. } => {
                     regs.stage_shift(carry);
@@ -185,7 +186,7 @@ impl StreamBuffer {
                     *in_reg = carry;
                 }
             }
-            carry = tails[i];
+            carry = tail;
         }
         self.pushed += 1;
         Ok(())

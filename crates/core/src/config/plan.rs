@@ -8,7 +8,10 @@
 use std::sync::Arc;
 
 use smache_mem::MemKind;
-use smache_stencil::{access, split_ranges, BoundarySpec, GridSpec, LinearAccess, StencilShape};
+use smache_stencil::{
+    boundary::AxisOutcome, split_ranges, BoundarySpec, GridSpec, LinearAccess, ModelError,
+    StencilShape,
+};
 
 use smache_stencil::RangeSpec;
 
@@ -566,24 +569,90 @@ impl BufferPlan {
             .sum()
     }
 
-    /// Finds the decision covering stream element `e`.
+    /// Finds the decision covering stream element `e`: a binary search over
+    /// the decisions, which analysis emits sorted and contiguous.
     pub fn decision_for(&self, e: usize) -> CoreResult<&RangeDecision> {
-        self.decisions
-            .iter()
-            .find(|d| e >= d.range.start && e < d.range.end())
-            .ok_or_else(|| CoreError::Config(format!("element {e} not covered by any range")))
+        let i = self.decisions.partition_point(|d| d.range.end() <= e);
+        match self.decisions.get(i) {
+            Some(d) if e >= d.range.start => Ok(d),
+            // A hand-built plan may list its decisions out of order.
+            _ => self
+                .decisions
+                .iter()
+                .find(|d| e >= d.range.start && e < d.range.end())
+                .ok_or_else(|| CoreError::Config(format!("element {e} not covered by any range"))),
+        }
+    }
+
+    /// Resolves stencil offset `off` for element `e` at `coords` into a
+    /// stream-relative access — [`smache_stencil::resolve`] for one point,
+    /// without allocating.
+    fn resolve_point(&self, e: usize, coords: &[usize], off: &[isize]) -> CoreResult<LinearAccess> {
+        let mut target = 0usize;
+        let mut constant = None;
+        for (axis, ((&d, &c), &o)) in self.grid.dims().iter().zip(coords).zip(off).enumerate() {
+            match self.bounds.resolve_axis(axis, c as isize + o, d)? {
+                AxisOutcome::Index(i) => target = target * d + i,
+                AxisOutcome::Skip => return Ok(LinearAccess::Skip),
+                // A constant on any axis makes the point constant; later
+                // axes may still skip it.
+                AxisOutcome::Constant(v) => {
+                    constant = Some(v);
+                    target *= d;
+                }
+            }
+        }
+        Ok(match constant {
+            Some(v) => LinearAccess::Constant(v),
+            None => LinearAccess::Rel(target as i64 - e as i64),
+        })
     }
 
     /// Resolves the data sources for element `e`'s stencil points,
     /// *positionally*: `out[p]` is the source of shape point `p`, `None`
     /// for boundary-skipped points. `out` is cleared and refilled.
+    ///
+    /// This is the single resolver of FSM-2's wiring: the simulated
+    /// datapath reads it through a [`SourceTable`](crate::config::SourceTable)
+    /// built once per module, and code generation and the functional model
+    /// call it directly.
     pub fn sources_for(&self, e: usize, out: &mut Vec<Option<SourceRef>>) -> CoreResult<()> {
         out.clear();
-        let coords = self.grid.coords(e)?;
-        let accesses = access::linear_tuple(&self.grid, &self.bounds, &self.shape, &coords)?;
+        if e >= self.grid.len() {
+            return Err(ModelError::OutOfGrid { coords: vec![e] }.into());
+        }
+        let ndim = self.grid.ndim();
+        if self.shape.ndim() != ndim {
+            return Err(ModelError::DimMismatch {
+                grid_dims: ndim,
+                offset_dims: self.shape.ndim(),
+            }
+            .into());
+        }
+        if self.bounds.ndim() != ndim {
+            return Err(ModelError::BadBoundary(format!(
+                "boundary spec covers {} axes, grid has {ndim}",
+                self.bounds.ndim()
+            ))
+            .into());
+        }
+        // Element coordinates, on the stack for grids of up to eight axes.
+        let mut inline = [0usize; 8];
+        let heap;
+        let coords: &[usize] = if ndim <= inline.len() {
+            let mut rem = e;
+            for (c, &d) in inline[..ndim].iter_mut().zip(self.grid.dims()).rev() {
+                *c = rem % d;
+                rem /= d;
+            }
+            &inline[..ndim]
+        } else {
+            heap = self.grid.coords(e)?;
+            &heap
+        };
         let decision = self.decision_for(e)?;
-        for a in accesses {
-            match a {
+        for off in self.shape.offsets() {
+            match self.resolve_point(e, coords, off)? {
                 LinearAccess::Skip => out.push(None),
                 LinearAccess::Constant(v) => out.push(Some(SourceRef::Constant(v))),
                 LinearAccess::Rel(o) => {

@@ -50,7 +50,7 @@ use smache_sim::{CycleStats, ReplayUnsupported, ResourceUsage};
 
 use crate::arch::controller::{ControllerPhase, SmacheModule, SmacheResourceBreakdown};
 use crate::arch::kernel::Kernel;
-use crate::config::BufferPlan;
+use crate::config::{BufferPlan, SourceTable};
 use crate::cost::FreqModel;
 use crate::error::{CoreError, FaultDiagnostic};
 use crate::pipeline::link::StageLink;
@@ -195,8 +195,10 @@ impl TemporalPipeline {
         let storm = (config.system.fault_plan.is_active()
             && config.system.fault_plan.profile.stall_storm_prob > 0.0)
             .then(|| StormGen::new(config.system.fault_plan, PIPE_STALL_COMPONENT));
+        // Every stage is wired identically: resolve the plan once.
+        let sources = Arc::new(SourceTable::build(&plan)?);
         let stages = (0..config.depth)
-            .map(|_| SmacheModule::new(plan.clone()))
+            .map(|_| SmacheModule::with_sources(plan.clone(), Arc::clone(&sources)))
             .collect::<CoreResult<Vec<_>>>()?;
         let links = (1..config.depth).map(|_| StageLink::new(n)).collect();
         Ok(TemporalPipeline {
@@ -800,7 +802,7 @@ impl TemporalPipeline {
     ) -> CoreResult<(RunReport, Arc<ControlSchedule>)> {
         self.replay_eligibility()
             .map_err(CoreError::ReplayRefused)?;
-        let gather = build_gather_table(self.plan())?;
+        let gather = build_gather_table(self.plan(), self.stages[0].sources())?;
         let instances = self.stages.len() as u64 * passes;
         let key = fingerprint128(self.schedule_key_text(passes).as_bytes());
 

@@ -156,10 +156,6 @@ impl Default for BatchOptions<'_> {
     }
 }
 
-/// A batch lane is a plain [`RunReport`] — the unified result shape.
-#[deprecated(since = "0.2.0", note = "a batch lane is a plain `RunReport` now")]
-pub type LaneReport = RunReport;
-
 /// The outcome of [`SmacheSystem::run_batch`]: per-lane results in job
 /// order, plus the merged cycle accounting of the successful lanes.
 #[derive(Debug)]

@@ -16,12 +16,13 @@
 //! — the constructor enforces this.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use smache_mem::{Dram, Word};
 
 use crate::arch::controller::{ControllerPhase, SmacheModule};
 use crate::arch::kernel::Kernel;
-use crate::config::BufferPlan;
+use crate::config::{BufferPlan, SourceTable};
 use crate::cost::FreqModel;
 use crate::error::CoreError;
 use crate::system::metrics::DesignMetrics;
@@ -94,8 +95,9 @@ impl CascadeSystem {
         let row = config.dram.row_words;
         let region = n.div_ceil(row) * row;
         let dram = Dram::new(2 * region + row, config.dram)?;
+        let sources = Arc::new(SourceTable::build(&plan)?);
         let stages = (0..depth)
-            .map(|_| SmacheModule::new(plan.clone()))
+            .map(|_| SmacheModule::with_sources(plan.clone(), Arc::clone(&sources)))
             .collect::<CoreResult<Vec<_>>>()?;
         Ok(CascadeSystem {
             stages,

@@ -12,8 +12,6 @@ pub mod smache_system;
 pub mod store;
 
 pub use axi::{AxiSmache, StallFuzzSink, StallFuzzSource};
-#[allow(deprecated)]
-pub use batch::LaneReport;
 pub use batch::{BatchJob, BatchOptions, BatchReport, KernelFactory, DEFAULT_LANE_BLOCK};
 pub use cascade::{CascadeReport, CascadeSystem};
 pub use metrics::{DesignMetrics, NormalisedMetrics};

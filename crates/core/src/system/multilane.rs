@@ -22,7 +22,7 @@ use smache_mem::{Dram, Word};
 
 use crate::arch::kernel::Kernel;
 use crate::arch::static_buffer::StaticBank;
-use crate::config::{BufferPlan, SourceRef};
+use crate::config::{BufferPlan, SourceSlot, SourceTable};
 use crate::cost::synthesis::clog2;
 use crate::cost::{FreqModel, SynthesisModel};
 use crate::error::CoreError;
@@ -73,7 +73,8 @@ pub struct MultilaneSystem {
     instances_left: u64,
     cycle: u64,
     warmup_cycles: u64,
-    scratch_sources: Vec<Option<SourceRef>>,
+    /// The lanes' wiring, resolved once at elaboration.
+    sources: SourceTable,
     scratch_values: Vec<Word>,
 }
 
@@ -108,6 +109,7 @@ impl MultilaneSystem {
         if kernel.latency() == 0 {
             return Err(CoreError::KernelLatencyZero);
         }
+        let sources = SourceTable::build(&plan)?;
         config.dram.bus_words = lanes;
         let n = plan.grid.len();
         let row = config.dram.row_words;
@@ -149,7 +151,7 @@ impl MultilaneSystem {
             instances_left: 0,
             cycle: 0,
             warmup_cycles: 0,
-            scratch_sources: Vec::new(),
+            sources,
             scratch_values: Vec::new(),
         })
     }
@@ -245,42 +247,27 @@ impl MultilaneSystem {
             && self.applied >= (group + group_lanes - 1) as u64 + self.plan.lookahead as u64 + 2;
         if ready {
             let mut results = Vec::with_capacity(group_lanes);
+            let mut values = std::mem::take(&mut self.scratch_values);
             for lane in 0..group_lanes {
                 let e = group + lane;
-                let mut sources = std::mem::take(&mut self.scratch_sources);
-                self.plan.sources_for(e, &mut sources)?;
-                let mut values = std::mem::take(&mut self.scratch_values);
                 values.clear();
-                let mut mask = 0u64;
-                for (p, src) in sources.iter().enumerate() {
-                    match *src {
-                        None => values.push(0),
-                        Some(SourceRef::Tap { pos }) => {
-                            // Window position is lane-relative: recover the
-                            // absolute element the tap denotes.
+                for src in self.sources.row(e) {
+                    values.push(match *src {
+                        SourceSlot::Hole => 0,
+                        // Window position is lane-relative: recover the
+                        // absolute element the tap denotes.
+                        SourceSlot::Tap(pos) => {
                             let o = self.plan.lookahead as i64 + 1 - pos as i64;
-                            values.push(self.window_read(e as i64 + o)?);
-                            mask |= 1 << p;
+                            self.window_read(e as i64 + o)?
                         }
-                        Some(SourceRef::Static {
-                            buffer,
-                            slot: _,
-                            port: _,
-                        }) => {
-                            // Lane uses its own bank port (pre-issued).
-                            values.push(self.banks[buffer].out_port(lane));
-                            mask |= 1 << p;
-                        }
-                        Some(SourceRef::Constant(v)) => {
-                            values.push(v);
-                            mask |= 1 << p;
-                        }
-                    }
+                        // Lane uses its own bank port (pre-issued).
+                        SourceSlot::Static { bank, .. } => self.banks[bank as usize].out_port(lane),
+                        SourceSlot::Const(i) => self.sources.consts()[i as usize],
+                    });
                 }
-                results.push(self.kernel.apply(&values, mask));
-                self.scratch_sources = sources;
-                self.scratch_values = values;
+                results.push(self.kernel.apply(&values, self.sources.mask(e)));
             }
+            self.scratch_values = values;
             self.pipe.push_back((self.kernel.latency(), group, results));
             self.next_group = group + group_lanes;
         }
@@ -307,20 +294,11 @@ impl MultilaneSystem {
         if self.next_group < self.n {
             let base = self.next_group;
             for lane in 0..self.lanes.min(self.n - base) {
-                let e = base + lane;
-                let mut sources = std::mem::take(&mut self.scratch_sources);
-                self.plan.sources_for(e, &mut sources)?;
-                for src in sources.iter().flatten() {
-                    if let SourceRef::Static {
-                        buffer,
-                        slot,
-                        port: _,
-                    } = *src
-                    {
-                        self.banks[buffer].stage_read_port(lane, slot)?;
+                for src in self.sources.row(base + lane) {
+                    if let SourceSlot::Static { bank, slot, .. } = *src {
+                        self.banks[bank as usize].stage_read_port(lane, slot as usize)?;
                     }
                 }
-                self.scratch_sources = sources;
             }
         }
 

@@ -54,10 +54,10 @@ use std::sync::Arc;
 
 use smache_mem::Word;
 use smache_sim::hash::fingerprint128;
-use smache_sim::{ControlTrace, GatherTable, ReplayUnsupported, SlotSource, MAX_GATHER_WIDTH};
+use smache_sim::{ControlTrace, GatherTable, ReplayUnsupported, SlotSource};
 
 use crate::arch::kernel::Kernel;
-use crate::config::{BufferPlan, SourceRef};
+use crate::config::{BufferPlan, SourceSlot, SourceTable};
 use crate::error::CoreError;
 use crate::system::report::{RunEngine, RunReport};
 use crate::system::smache_system::{SmacheSystem, SystemConfig};
@@ -325,32 +325,23 @@ impl ControlSchedule {
     }
 }
 
-/// Derives the per-element gather table from the plan. Every architectural
-/// source resolves to a current-instance grid index: a stream tap at window
-/// position `p` serves offset `lookahead + 1 − p`, i.e. grid index
-/// `e + o`; a static-bank slot holds grid index `region_start + slot` of
-/// the current input (the previous instance's captured output).
-pub(crate) fn build_gather_table(plan: &BufferPlan) -> CoreResult<GatherTable> {
+/// Derives the per-element gather table from a module's resolved source
+/// table. Every architectural source resolves to a current-instance grid
+/// index: a stream tap at window position `p` serves offset
+/// `lookahead + 1 − p`, i.e. grid index `e + o`; a static-bank slot holds
+/// grid index `region_start + slot` of the current input (the previous
+/// instance's captured output).
+pub(crate) fn build_gather_table(
+    plan: &BufferPlan,
+    sources: &SourceTable,
+) -> CoreResult<GatherTable> {
     let n = plan.grid.len();
-    let width = plan.shape.len();
-    if width > MAX_GATHER_WIDTH {
-        return Err(CoreError::Config(format!(
-            "gather: {width}-point shape exceeds the {MAX_GATHER_WIDTH}-bit kernel mask"
-        )));
-    }
-    let mut srcs: Vec<Option<SourceRef>> = Vec::new();
-    GatherTable::build(width, n, |e, slots| {
-        plan.sources_for(e, &mut srcs)?;
-        let mut mask = 0u64;
-        for (p, src) in srcs.iter().enumerate() {
+    GatherTable::build(sources.width(), n, |e, slots| {
+        for src in sources.row(e) {
             let slot = match *src {
-                None => SlotSource::Hole,
-                Some(SourceRef::Constant(v)) => {
-                    mask |= 1 << p;
-                    SlotSource::Const(v)
-                }
-                Some(SourceRef::Tap { pos }) => {
-                    mask |= 1 << p;
+                SourceSlot::Hole => SlotSource::Hole,
+                SourceSlot::Const(i) => SlotSource::Const(sources.consts()[i as usize]),
+                SourceSlot::Tap(pos) => {
                     let offset = plan.lookahead as i64 + 1 - pos as i64;
                     let g = e as i64 + offset;
                     if g < 0 || g >= n as i64 {
@@ -360,15 +351,14 @@ pub(crate) fn build_gather_table(plan: &BufferPlan) -> CoreResult<GatherTable> {
                     }
                     SlotSource::Grid(g as u32)
                 }
-                Some(SourceRef::Static { buffer, slot, .. }) => {
-                    mask |= 1 << p;
-                    let b = plan.static_buffers.get(buffer).ok_or_else(|| {
-                        CoreError::Config(format!("gather: unknown static buffer {buffer}"))
+                SourceSlot::Static { bank, slot, .. } => {
+                    let b = plan.static_buffers.get(bank as usize).ok_or_else(|| {
+                        CoreError::Config(format!("gather: unknown static buffer {bank}"))
                     })?;
-                    let g = b.region_start + slot;
+                    let g = b.region_start + slot as usize;
                     if g >= n {
                         return Err(CoreError::Config(format!(
-                            "gather: static slot {slot} of buffer {buffer} escapes the grid"
+                            "gather: static slot {slot} of buffer {bank} escapes the grid"
                         )));
                     }
                     SlotSource::Grid(g as u32)
@@ -376,7 +366,7 @@ pub(crate) fn build_gather_table(plan: &BufferPlan) -> CoreResult<GatherTable> {
             };
             slots.push(slot);
         }
-        Ok(mask)
+        Ok(sources.mask(e))
     })
 }
 
@@ -401,7 +391,7 @@ impl SmacheSystem {
     ) -> CoreResult<(RunReport, Arc<ControlSchedule>)> {
         self.replay_eligibility()
             .map_err(CoreError::ReplayRefused)?;
-        let gather = build_gather_table(self.plan())?;
+        let gather = build_gather_table(self.plan(), self.module_sources())?;
         let key = schedule_key(self.plan(), self.config(), self.kernel(), instances);
 
         self.begin_capture();
@@ -669,7 +659,7 @@ mod tests {
     #[test]
     fn gather_table_covers_every_element() {
         let sys = paper_system();
-        let table = build_gather_table(sys.plan()).expect("gather");
+        let table = build_gather_table(sys.plan(), sys.module_sources()).expect("gather");
         assert_eq!(table.len(), 121);
         assert_eq!(table.width(), 4);
         let rows: Vec<_> = table.rows().collect();

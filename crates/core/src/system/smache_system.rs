@@ -18,7 +18,7 @@ use smache_sim::{Beat, CycleStats, ResourceUsage};
 
 use crate::arch::controller::{ControllerPhase, SmacheModule, SmacheResourceBreakdown};
 use crate::arch::kernel::Kernel;
-use crate::config::BufferPlan;
+use crate::config::{BufferPlan, SourceTable};
 use crate::cost::FreqModel;
 use crate::error::{CoreError, FaultDiagnostic};
 use crate::system::metrics::DesignMetrics;
@@ -201,6 +201,12 @@ impl SmacheSystem {
     /// The plan being executed.
     pub fn plan(&self) -> &BufferPlan {
         self.module.plan()
+    }
+
+    /// The module's resolved source table (capture derives its gather
+    /// table from it instead of resolving the plan again).
+    pub(crate) fn module_sources(&self) -> &SourceTable {
+        self.module.sources()
     }
 
     /// The system configuration.

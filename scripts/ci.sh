@@ -66,6 +66,16 @@ cargo run -p smache-cli --release -- simulate --grid 8x8 --instances 2 --batch 2
 cargo run -p smache-cli --release -- simulate --grid 11x11 --instances 5 \
   --chaos-seed 7 --chaos-profile heavy --verify >/dev/null
 
+echo "== full-sim smoke (resolved source table: 3D, mirror, Case-R, constant, multi-lane) =="
+for args in "--grid 8x8x8 --bounds circular" \
+            "--grid 24x24 --shape nine --rows mirror --cols open" \
+            "--hybrid r" "--rows const:7" "--lanes 2"; do
+  # shellcheck disable=SC2086 # word-split the argument list on purpose
+  cargo run -p smache-cli --release -- simulate $args --replay off --verify \
+    | grep -q 'verified against golden' || {
+    echo "full simulation with $args failed golden verification"; exit 1; }
+done
+
 echo "== replay smoke (auto picks replay, fingerprint matches full sim) =="
 replay_out=$(cargo run -p smache-cli --release -- simulate --grid 11x11 --instances 3 --seed 7 --replay auto)
 echo "$replay_out" | grep -q 'engine=replay' || { echo "--replay auto did not replay"; exit 1; }

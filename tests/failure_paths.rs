@@ -5,7 +5,7 @@ use smache::arch::kernel::AverageKernel;
 use smache::system::cascade::CascadeSystem;
 use smache::system::multilane::MultilaneSystem;
 use smache::system::smache_system::SystemConfig;
-use smache::{CoreError, SmacheBuilder};
+use smache::{CoreError, PipelineConfig, SmacheBuilder, SmacheSystem, TemporalPipeline};
 use smache_sim::SimError;
 use smache_stencil::{BoundarySpec, GridSpec, StencilShape};
 
@@ -37,6 +37,43 @@ fn stall_released_before_budget_recovers() {
     let input: Vec<u64> = (0..64).collect();
     let report = sys.run(&input, 1).expect("recovers after the burst");
     assert!(report.metrics.cycles > 500);
+}
+
+/// A plan whose wiring cannot be resolved fails when the system is
+/// elaborated — typed, naming the element and the offset — and never
+/// panics or fails mid-run.
+#[test]
+fn unresolvable_plans_fail_at_construction() {
+    let full = SmacheBuilder::new(GridSpec::d2(11, 11).expect("grid"))
+        .plan()
+        .expect("plan");
+    assert_eq!(full.static_buffers.len(), 2);
+    for removed in 0..2 {
+        let mut plan = full.clone();
+        let missing = plan.static_buffers[removed].clone();
+        plan.static_buffers = plan
+            .static_buffers
+            .iter()
+            .filter(|b| b.id != missing.id)
+            .cloned()
+            .collect();
+        let expected = format!(
+            "no static buffer for offset {} serving element {}",
+            missing.offset, missing.range_start
+        );
+        let err = SmacheSystem::new(
+            plan.clone(),
+            Box::new(AverageKernel),
+            SystemConfig::default(),
+        )
+        .map(|_| ())
+        .expect_err("unresolvable plan rejected");
+        assert_eq!(err, CoreError::Config(expected.clone()), "buffer {removed}");
+        let err = TemporalPipeline::new(plan, Box::new(AverageKernel), PipelineConfig::default())
+            .map(|_| ())
+            .expect_err("every surface rejects it");
+        assert_eq!(err, CoreError::Config(expected), "buffer {removed}");
+    }
 }
 
 #[test]
