@@ -9,8 +9,7 @@ use std::sync::Arc;
 
 use smache_mem::MemKind;
 use smache_stencil::{
-    boundary::AxisOutcome, split_ranges, BoundarySpec, GridSpec, LinearAccess, ModelError,
-    StencilShape,
+    resolve, split_ranges, Access, BoundarySpec, GridSpec, ModelError, StencilShape,
 };
 
 use smache_stencil::RangeSpec;
@@ -294,8 +293,10 @@ pub struct BufferPlan {
     pub bounds: BoundarySpec,
     /// Logical word width in bits.
     pub word_bits: u32,
-    /// Per-range split decisions (post refinement). Shared, so a cloned
-    /// plan costs a reference count and compares by pointer first.
+    /// Per-range split decisions (post refinement), sorted by range start
+    /// and contiguous over the grid, as analysis emits them;
+    /// [`BufferPlan::decision_for`] relies on that order. Shared, so a
+    /// cloned plan costs a reference count and compares by pointer first.
     pub decisions: Arc<[RangeDecision]>,
     /// Largest stream offset ahead of the element (window reach forward).
     pub lookahead: usize,
@@ -575,37 +576,10 @@ impl BufferPlan {
         let i = self.decisions.partition_point(|d| d.range.end() <= e);
         match self.decisions.get(i) {
             Some(d) if e >= d.range.start => Ok(d),
-            // A hand-built plan may list its decisions out of order.
-            _ => self
-                .decisions
-                .iter()
-                .find(|d| e >= d.range.start && e < d.range.end())
-                .ok_or_else(|| CoreError::Config(format!("element {e} not covered by any range"))),
+            _ => Err(CoreError::Config(format!(
+                "element {e} not covered by any range"
+            ))),
         }
-    }
-
-    /// Resolves stencil offset `off` for element `e` at `coords` into a
-    /// stream-relative access — [`smache_stencil::resolve`] for one point,
-    /// without allocating.
-    fn resolve_point(&self, e: usize, coords: &[usize], off: &[isize]) -> CoreResult<LinearAccess> {
-        let mut target = 0usize;
-        let mut constant = None;
-        for (axis, ((&d, &c), &o)) in self.grid.dims().iter().zip(coords).zip(off).enumerate() {
-            match self.bounds.resolve_axis(axis, c as isize + o, d)? {
-                AxisOutcome::Index(i) => target = target * d + i,
-                AxisOutcome::Skip => return Ok(LinearAccess::Skip),
-                // A constant on any axis makes the point constant; later
-                // axes may still skip it.
-                AxisOutcome::Constant(v) => {
-                    constant = Some(v);
-                    target *= d;
-                }
-            }
-        }
-        Ok(match constant {
-            Some(v) => LinearAccess::Constant(v),
-            None => LinearAccess::Rel(target as i64 - e as i64),
-        })
     }
 
     /// Resolves the data sources for element `e`'s stencil points,
@@ -622,20 +596,6 @@ impl BufferPlan {
             return Err(ModelError::OutOfGrid { coords: vec![e] }.into());
         }
         let ndim = self.grid.ndim();
-        if self.shape.ndim() != ndim {
-            return Err(ModelError::DimMismatch {
-                grid_dims: ndim,
-                offset_dims: self.shape.ndim(),
-            }
-            .into());
-        }
-        if self.bounds.ndim() != ndim {
-            return Err(ModelError::BadBoundary(format!(
-                "boundary spec covers {} axes, grid has {ndim}",
-                self.bounds.ndim()
-            ))
-            .into());
-        }
         // Element coordinates, on the stack for grids of up to eight axes.
         let mut inline = [0usize; 8];
         let heap;
@@ -652,16 +612,14 @@ impl BufferPlan {
         };
         let decision = self.decision_for(e)?;
         for off in self.shape.offsets() {
-            match self.resolve_point(e, coords, off)? {
-                LinearAccess::Skip => out.push(None),
-                LinearAccess::Constant(v) => out.push(Some(SourceRef::Constant(v))),
-                LinearAccess::Rel(o) => {
+            match resolve(&self.grid, &self.bounds, coords, off)? {
+                Access::Skip => out.push(None),
+                Access::Constant(v) => out.push(Some(SourceRef::Constant(v))),
+                Access::Inside(t) => {
+                    let o = t as i64 - e as i64;
                     if decision.static_offsets.contains(&o) {
-                        let target = (e as i64 + o) as usize;
                         let buffer = if self.statics_are_regions {
-                            self.static_buffers
-                                .iter()
-                                .find(|b| b.contains_region(target))
+                            self.static_buffers.iter().find(|b| b.contains_region(t))
                         } else {
                             self.static_buffers.iter().find(|b| {
                                 b.offset == o && e >= b.range_start && e < b.range_start + b.len
@@ -673,7 +631,7 @@ impl BufferPlan {
                             ))
                         })?;
                         let slot = if self.statics_are_regions {
-                            target - buffer.region_start
+                            t - buffer.region_start
                         } else {
                             e - buffer.range_start
                         };

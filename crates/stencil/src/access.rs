@@ -29,7 +29,8 @@ pub enum LinearAccess {
 }
 
 /// Resolves one shape offset at `coords` under the boundary conditions,
-/// returning the absolute access.
+/// returning the absolute access. Allocation-free: the linear index is
+/// accumulated axis by axis.
 pub fn resolve(
     grid: &GridSpec,
     bounds: &BoundarySpec,
@@ -49,25 +50,26 @@ pub fn resolve(
             grid.ndim()
         )));
     }
-    let mut resolved = Vec::with_capacity(grid.ndim());
+    let mut target = 0usize;
     let mut constant: Option<Word> = None;
-    for axis in 0..grid.ndim() {
+    for (axis, &d) in grid.dims().iter().enumerate() {
         let idx = coords[axis] as isize + offset[axis];
-        match bounds.resolve_axis(axis, idx, grid.dims()[axis])? {
-            AxisOutcome::Index(i) => resolved.push(i),
+        match bounds.resolve_axis(axis, idx, d)? {
+            // `resolve_axis` only yields in-grid indices.
+            AxisOutcome::Index(i) => target = target * d + i,
             AxisOutcome::Skip => return Ok(Access::Skip),
             AxisOutcome::Constant(v) => {
                 // A constant on any axis makes the whole point constant;
                 // remaining axes are still checked for skips (a skip wins).
                 constant = Some(v);
-                resolved.push(0);
+                target *= d;
             }
         }
     }
-    if let Some(v) = constant {
-        return Ok(Access::Constant(v));
-    }
-    Ok(Access::Inside(grid.lin(&resolved)?))
+    Ok(match constant {
+        Some(v) => Access::Constant(v),
+        None => Access::Inside(target),
+    })
 }
 
 /// Resolves the full tuple of one element into stream-relative accesses.

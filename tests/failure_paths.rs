@@ -74,6 +74,39 @@ fn unresolvable_plans_fail_at_construction() {
             .expect_err("every surface rejects it");
         assert_eq!(err, CoreError::Config(expected), "buffer {removed}");
     }
+
+    // Static banks are instantiated in plan order, so a buffer id must name
+    // its own index. With the two buffers swapped, element 0 reads buffer 0
+    // from index 1.
+    let mut plan = full.clone();
+    plan.static_buffers = full.static_buffers.iter().rev().cloned().collect();
+    assert_eq!(plan.static_buffers[0].id, 1);
+    let err = SmacheSystem::new(plan, Box::new(AverageKernel), SystemConfig::default())
+        .map(|_| ())
+        .expect_err("misnumbered bank rejected");
+    assert_eq!(
+        err,
+        CoreError::Config(
+            "element 0 reads static buffer 0, which is not at index 0 of the plan".into()
+        )
+    );
+
+    // The kernel mask has one bit per stencil point: a 9×9 box (81 points)
+    // cannot be wired.
+    let box9: Vec<Vec<isize>> = (-4..=4)
+        .flat_map(|r| (-4..=4).map(move |c| vec![r, c]))
+        .collect();
+    let plan = SmacheBuilder::new(GridSpec::d2(16, 16).expect("grid"))
+        .shape(StencilShape::new(&box9).expect("shape"))
+        .plan()
+        .expect("plan");
+    let err = SmacheSystem::new(plan, Box::new(AverageKernel), SystemConfig::default())
+        .map(|_| ())
+        .expect_err("over-wide shape rejected");
+    assert_eq!(
+        err,
+        CoreError::Config("81-point shape exceeds the 64-bit kernel mask".into())
+    );
 }
 
 #[test]
