@@ -3,12 +3,13 @@
 
 use std::fmt::Write as _;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use smache::arch::kernel::AverageKernel;
 use smache::arch::kernel::Kernel as _;
 use smache::cost::{CostEstimate, CycleModel, FreqModel, SynthesisModel};
+use smache::engine::{Engine, Fallback, Job, Provenance};
 use smache::functional::golden::golden_run;
+use smache::spec::seeded_input;
+use smache::system::{ReplayMode, RunReport, ScheduleStore};
 use smache_baseline::{BaselineConfig, BaselineSystem};
 use smache_codegen::{lint_verilog, VerilogGen};
 
@@ -152,9 +153,10 @@ SIMULATE OPTIONS:
                            chaos seed — auto falls back when bit flips,
                            stall fuzzing or tracing make the control
                            plane data-dependent)  [auto]
-  --store DIR              with --batch: persistent schedule store — load
-                           captured schedules from DIR and write new
-                           captures back (see docs/DEPLOYMENT.md) [off]
+  --store DIR              persistent schedule store — load captured
+                           schedules from DIR and write new captures
+                           back; shared with --batch and `serve`
+                           (see docs/DEPLOYMENT.md) [off]
   --lane-block N           with --batch: lanes replayed per structure-of-
                            arrays block (one gather decode per block) [16]
   --verify                 check against the golden reference
@@ -403,14 +405,23 @@ fn trace_format<'a>(args: &'a Args, default: &'a str) -> Result<&'a str, CliErro
     }
 }
 
-/// Exports the system's probe trace, self-checks it, and either writes it
-/// to `--trace-out` or returns it for inline printing.
-fn export_trace(
-    system: &smache::system::SmacheSystem,
+/// Runs `spec` with telemetry attached, exports its probe trace,
+/// self-checks it, and either writes it to `--trace-out` or returns it for
+/// inline printing.
+fn traced_run(
+    spec: &ProblemSpec,
+    chaos: smache_mem::FaultPlan,
+    (input, instances): (&[u64], u64),
     fmt: &str,
     args: &Args,
     out: &mut String,
-) -> Result<(), CliError> {
+) -> Result<RunReport, CliError> {
+    let mut system = spec
+        .builder()
+        .fault_plan(chaos)
+        .telemetry(smache_sim::TelemetryConfig::default())
+        .build()?;
+    let report = system.run(input, instances)?;
     let artifact = system
         .export_trace(fmt, "smache")
         .expect("telemetry attached and format validated");
@@ -437,7 +448,7 @@ fn export_trace(
         }
         None => out.push_str(&artifact),
     }
-    Ok(())
+    Ok(report)
 }
 
 /// `trace`: run the cycle-accurate system with telemetry attached, export
@@ -460,19 +471,9 @@ fn cmd_trace(args: &Args) -> Result<String, CliError> {
     let fmt = trace_format(args, "vcd")?;
     let chaos = chaos_plan(args)?;
 
-    let n = spec.grid.len();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let input: Vec<u64> = (0..n).map(|_| rng.gen_range(0..1u64 << 20)).collect();
-
-    let mut system = spec
-        .builder()
-        .fault_plan(chaos)
-        .telemetry(smache_sim::TelemetryConfig::default())
-        .build()?;
-    let report = system.run(&input, instances)?;
-
+    let input = seeded_input(spec.grid.len(), seed);
     let mut out = String::new();
-    export_trace(&system, fmt, args, &mut out)?;
+    let report = traced_run(&spec, chaos, (&input, instances), fmt, args, &mut out)?;
     if args.flag("analyze") {
         let _ = writeln!(
             out,
@@ -494,9 +495,9 @@ fn cmd_trace(args: &Args) -> Result<String, CliError> {
 }
 
 /// Parses `--replay auto|on|off` (default `auto`).
-fn replay_mode(args: &Args) -> Result<smache::system::ReplayMode, CliError> {
+fn replay_mode(args: &Args) -> Result<ReplayMode, CliError> {
     let v = args.get_or("replay", "auto");
-    match smache::system::ReplayMode::from_label(v) {
+    match ReplayMode::from_label(v) {
         Some(mode) => Ok(mode),
         None => Err(ArgError::BadValue {
             key: "replay".into(),
@@ -507,27 +508,31 @@ fn replay_mode(args: &Args) -> Result<smache::system::ReplayMode, CliError> {
     }
 }
 
-/// The shared batch flag group —
-/// `--jobs/--replay/--store/--store-mb/--lane-block` — parsed here exactly
-/// as the bench bins (`fig2`, `chaos`, `replay`) parse it and as the serve
-/// request schema mirrors it (`jobs`/`replay`/`lane-block` request keys).
-struct BatchFlags {
-    jobs: usize,
-    mode: smache::system::ReplayMode,
-    store: Option<smache::system::ScheduleStore>,
-    lane_block: usize,
+/// Opens `--store DIR`, if given.
+fn store_flag(args: &Args) -> Result<Option<ScheduleStore>, CliError> {
+    args.get("store").map(|_| open_store(args)).transpose()
 }
 
-fn batch_flags(args: &Args) -> Result<BatchFlags, CliError> {
-    Ok(BatchFlags {
-        jobs: args.get_num("jobs", 1)?,
-        mode: replay_mode(args)?,
-        store: match args.get("store") {
-            Some(_) => Some(open_store(args, 0)?),
-            None => None,
-        },
-        lane_block: args.get_num("lane-block", smache::system::DEFAULT_LANE_BLOCK)?,
-    })
+/// The store's counters, one line.
+fn store_line(store: &ScheduleStore) -> String {
+    let s = store.stats();
+    format!(
+        "store: {} hits, {} writes, {} entries ({} bytes) in {}",
+        s.hits,
+        s.writes,
+        store.len(),
+        store.bytes(),
+        store.dir().display()
+    )
+}
+
+/// `engine=<engine>`, plus the refusal that made the engine fall back to
+/// the full simulation.
+fn engine_note(report: &RunReport, prov: &Provenance) -> String {
+    match &prov.fallback {
+        Some(Fallback::Refused(reason)) => format!("engine=full_sim fallback={}", reason.label()),
+        _ => format!("engine={}", report.engine.label()),
+    }
 }
 
 /// Hex fingerprint of an output grid, printed so replay and full-sim runs
@@ -541,11 +546,28 @@ fn output_fp(output: &[u64]) -> String {
     format!("{hi:016x}{lo:016x}")
 }
 
+/// Checks `output` against `golden` and notes the match in `out`.
+fn verify(out: &mut String, output: &[u64], golden: &[u64]) -> Result<(), CliError> {
+    match output.iter().zip(golden).position(|(a, b)| a != b) {
+        None if output.len() == golden.len() => {
+            let _ = writeln!(out, "  verified against golden reference");
+            Ok(())
+        }
+        index => Err(smache::CoreError::Mismatch {
+            index: index.unwrap_or(0),
+            expected: 0,
+            actual: 0,
+        }
+        .into()),
+    }
+}
+
+/// `simulate`. A pipelined spec (`--timesteps`/`--channels`) runs the
+/// temporal pipeline, which advances `timesteps` grid updates per DRAM
+/// pass, so `--instances` must be a multiple of the depth; `--batch`,
+/// `--lanes`, `--trace` and non-Smache designs are single-step-only.
 fn cmd_simulate(args: &Args) -> Result<String, CliError> {
     let spec = spec_from_args(args)?;
-    if spec.pipelined() {
-        return cmd_simulate_pipeline(args, &spec);
-    }
     let instances: u64 = args.get_num("instances", 100)?;
     let seed: u64 = args.get_num("seed", 1)?;
     let design = args.get_or("design", "smache");
@@ -562,11 +584,57 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
 
     let batch: u64 = args.get_num("batch", 0)?;
     let lanes: usize = args.get_num("lanes", 1)?;
+    let mut out = String::new();
+    if spec.pipelined() {
+        for (key, unsupported) in [
+            ("batch", args.get("batch").is_some()),
+            ("lanes", lanes > 1),
+            ("trace", args.get("trace").is_some()),
+            ("design", design != "smache"),
+        ] {
+            if unsupported {
+                return Err(ArgError::BadValue {
+                    key: key.into(),
+                    value: args.get_or(key, "").into(),
+                    expected: "a single-step spec (pipelined --timesteps/--channels runs \
+                               the Smache temporal pipeline only)"
+                        .into(),
+                }
+                .into());
+            }
+        }
+        let depth = spec.timesteps;
+        if !instances.is_multiple_of(depth) {
+            return Err(ArgError::BadValue {
+                key: "instances".into(),
+                value: instances.to_string(),
+                expected: format!("a multiple of --timesteps {depth} (each DRAM pass advances the grid {depth} updates)"),
+            }
+            .into());
+        }
+        let _ = writeln!(
+            out,
+            "pipeline: {depth} stage(s) x {} pass(es) = {instances} timestep(s), {} channel(s)",
+            instances / depth,
+            spec.channels
+        );
+    }
     let trace_fmt: Option<&str> = match args.get("trace") {
         Some(_) => Some(trace_format(args, "vcd")?),
         None => None,
     };
+    let mode = replay_mode(args)?;
     if trace_fmt.is_some() {
+        if mode == ReplayMode::On {
+            return Err(ArgError::BadValue {
+                key: "replay".into(),
+                value: "on".into(),
+                expected: "auto|off (a traced run records probe events, which replay \
+                           cannot produce)"
+                    .into(),
+            }
+            .into());
+        }
         if batch > 0 || lanes > 1 || design == "baseline" {
             return Err(ArgError::BadValue {
                 key: "trace".into(),
@@ -587,10 +655,7 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
         return cmd_simulate_batch(args, &spec, instances, seed, batch);
     }
 
-    let n = spec.grid.len();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let input: Vec<u64> = (0..n).map(|_| rng.gen_range(0..1u64 << 20)).collect();
-
+    let input = seeded_input(spec.grid.len(), seed);
     let golden = if args.flag("verify") {
         Some(golden_run(
             &spec.grid,
@@ -604,10 +669,8 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
         None
     };
 
-    let mode = replay_mode(args)?;
-    let mut out = String::new();
+    let engine = Engine::new(0, store_flag(args)?);
     if design == "smache" || design == "both" {
-        use smache::system::ReplayMode;
         let (metrics, output, warmup, engine_note) = if lanes > 1 {
             if mode == ReplayMode::On {
                 return Err(smache::CoreError::Config(
@@ -628,41 +691,20 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
             )?;
             let report = system.run(&input, instances)?;
             (report.metrics, report.output, 0, "engine=full_sim".into())
+        } else if let Some(fmt) = trace_fmt {
+            // A traced run records probe events, which replay cannot
+            // produce, so it always runs the full simulation.
+            let report = traced_run(&spec, chaos, (&input, instances), fmt, args, &mut out)?;
+            let note = format!(
+                "engine=full_sim fallback={}",
+                smache_sim::ReplayUnsupported::Telemetry.label()
+            );
+            (report.metrics, report.output, report.warmup_cycles, note)
         } else {
-            let mut builder = spec.builder().fault_plan(chaos);
-            if trace_fmt.is_some() {
-                builder = builder.telemetry(smache_sim::TelemetryConfig::default());
-            }
-            let mut system = builder.build()?;
-            let (report, engine_note): (_, String) = match mode {
-                ReplayMode::Off => (system.run(&input, instances)?, "engine=full_sim".into()),
-                ReplayMode::Auto | ReplayMode::On => {
-                    match system.run_captured(&input, instances) {
-                        // Replay the captured schedule for the final report:
-                        // same output, same cycle counts, engine=replay.
-                        Ok((_, schedule)) => {
-                            let replayed = schedule
-                                .replay(&AverageKernel, &input)
-                                .map_err(|e| CliError::Core(smache::CoreError::ReplayRefused(e)))?;
-                            (replayed, "engine=replay".into())
-                        }
-                        Err(smache::CoreError::ReplayRefused(r)) if mode == ReplayMode::Auto => {
-                            let report = system.run(&input, instances)?;
-                            (report, format!("engine=full_sim fallback={}", r.label()))
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-            };
-            if let Some(fmt) = trace_fmt {
-                export_trace(&system, fmt, args, &mut out)?;
-            }
-            (
-                report.metrics,
-                report.output,
-                report.warmup_cycles,
-                engine_note,
-            )
+            let job = Job::spec(&spec, instances).fault_plan(chaos);
+            let (report, prov) = engine.run(&job, &input, mode)?;
+            let note = engine_note(&report, &prov);
+            (report.metrics, report.output, report.warmup_cycles, note)
         };
         let _ = writeln!(out, "{metrics}");
         let _ = writeln!(
@@ -671,20 +713,14 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
             warmup, metrics.resources
         );
         let _ = writeln!(out, "  {engine_note} fp={}", output_fp(&output));
+        if let Some(store) = engine.store() {
+            let _ = writeln!(out, "{}", store_line(&store));
+        }
         if chaos.is_active() {
             let _ = writeln!(out, "  chaos (seed {}): {}", chaos.seed, metrics.faults);
         }
         if let Some(g) = &golden {
-            if &output == g {
-                let _ = writeln!(out, "  verified against golden reference");
-            } else {
-                return Err(smache::CoreError::Mismatch {
-                    index: output.iter().zip(g).position(|(a, b)| a != b).unwrap_or(0),
-                    expected: 0,
-                    actual: 0,
-                }
-                .into());
-            }
+            verify(&mut out, &output, g)?;
         }
     }
     if design == "baseline" || design == "both" {
@@ -699,136 +735,7 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
         let _ = writeln!(out, "{}", report.metrics);
         let _ = writeln!(out, "  resources: {}", report.metrics.resources);
         if let Some(g) = &golden {
-            if &report.output == g {
-                let _ = writeln!(out, "  verified against golden reference");
-            } else {
-                return Err(smache::CoreError::Mismatch {
-                    index: 0,
-                    expected: 0,
-                    actual: 0,
-                }
-                .into());
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// `simulate` for a pipelined spec (`--timesteps`/`--channels`): the
-/// temporal pipeline advances `timesteps` grid updates per DRAM pass, so
-/// `--instances` must be a multiple of the depth. Verification and replay
-/// work exactly as for the single-step system; `--batch`, `--lanes`,
-/// `--trace` and non-Smache designs are single-step-only.
-fn cmd_simulate_pipeline(args: &Args, spec: &ProblemSpec) -> Result<String, CliError> {
-    let instances: u64 = args.get_num("instances", 100)?;
-    let seed: u64 = args.get_num("seed", 1)?;
-    let depth = spec.timesteps.max(1);
-    for (key, unsupported) in [
-        ("batch", args.get("batch").is_some()),
-        ("lanes", args.get_num::<usize>("lanes", 1)? > 1),
-        ("trace", args.get("trace").is_some()),
-        ("design", args.get_or("design", "smache") != "smache"),
-    ] {
-        if unsupported {
-            return Err(ArgError::BadValue {
-                key: key.into(),
-                value: args.get_or(key, "").into(),
-                expected: "a single-step spec (pipelined --timesteps/--channels runs \
-                           the Smache temporal pipeline only)"
-                    .into(),
-            }
-            .into());
-        }
-    }
-    if !instances.is_multiple_of(depth) {
-        return Err(ArgError::BadValue {
-            key: "instances".into(),
-            value: instances.to_string(),
-            expected: format!("a multiple of --timesteps {depth} (each DRAM pass advances the grid {depth} updates)"),
-        }
-        .into());
-    }
-    let passes = instances / depth;
-
-    let chaos = chaos_plan(args)?;
-    let mode = replay_mode(args)?;
-    let plan = spec.builder().plan()?;
-    let config = smache::PipelineConfig {
-        depth: depth as usize,
-        channels: spec.channels,
-        system: smache::system::smache_system::SystemConfig {
-            fault_plan: chaos,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let mut pipe = smache::TemporalPipeline::new(plan, Box::new(AverageKernel), config)?;
-
-    let n = spec.grid.len();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let input: Vec<u64> = (0..n).map(|_| rng.gen_range(0..1u64 << 20)).collect();
-
-    use smache::system::ReplayMode;
-    let (report, engine_note): (_, String) = match mode {
-        ReplayMode::Off => (pipe.run(&input, passes)?, "engine=full_sim".into()),
-        ReplayMode::Auto | ReplayMode::On => match pipe.run_captured(&input, passes) {
-            Ok((_, schedule)) => {
-                let replayed = schedule
-                    .replay(&AverageKernel, &input)
-                    .map_err(|e| CliError::Core(smache::CoreError::ReplayRefused(e)))?;
-                (replayed, "engine=replay".into())
-            }
-            Err(smache::CoreError::ReplayRefused(r)) if mode == ReplayMode::Auto => {
-                let report = pipe.run(&input, passes)?;
-                (report, format!("engine=full_sim fallback={}", r.label()))
-            }
-            Err(e) => return Err(e.into()),
-        },
-    };
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "pipeline: {depth} stage(s) x {passes} pass(es) = {instances} timestep(s), {} channel(s)",
-        spec.channels
-    );
-    let _ = writeln!(out, "{}", report.metrics);
-    let _ = writeln!(
-        out,
-        "  warm-up {} cycles; resources: {}",
-        report.warmup_cycles, report.metrics.resources
-    );
-    let _ = writeln!(out, "  {engine_note} fp={}", output_fp(&report.output));
-    if chaos.is_active() {
-        let _ = writeln!(
-            out,
-            "  chaos (seed {}): {}",
-            chaos.seed, report.metrics.faults
-        );
-    }
-    if args.flag("verify") {
-        let golden = golden_run(
-            &spec.grid,
-            &spec.bounds,
-            &spec.shape,
-            &AverageKernel,
-            &input,
-            instances,
-        )?;
-        if report.output == golden {
-            let _ = writeln!(out, "  verified against golden reference");
-        } else {
-            return Err(smache::CoreError::Mismatch {
-                index: report
-                    .output
-                    .iter()
-                    .zip(&golden)
-                    .position(|(a, b)| a != b)
-                    .unwrap_or(0),
-                expected: 0,
-                actual: 0,
-            }
-            .into());
+            verify(&mut out, &report.output, g)?;
         }
     }
     Ok(out)
@@ -843,25 +750,18 @@ fn cmd_simulate_batch(
     seed: u64,
     batch: u64,
 ) -> Result<String, CliError> {
-    let BatchFlags {
-        jobs,
-        mode,
-        mut store,
-        lane_block,
-    } = batch_flags(args)?;
+    let jobs = args.get_num("jobs", 1)?;
+    let mode = replay_mode(args)?;
+    let mut store = store_flag(args)?;
+    let lane_block = args.get_num("lane-block", smache::system::DEFAULT_LANE_BLOCK)?;
     let chaos = chaos_plan(args)?;
     let config = smache::system::smache_system::SystemConfig {
         fault_plan: chaos,
         ..Default::default()
     };
     let plan = spec.builder().plan()?;
-    let n = spec.grid.len();
-
     let inputs: Vec<Vec<u64>> = (0..batch)
-        .map(|lane| {
-            let mut rng = SmallRng::seed_from_u64(seed + lane);
-            (0..n).map(|_| rng.gen_range(0..1u64 << 20)).collect()
-        })
+        .map(|lane| seeded_input(spec.grid.len(), seed + lane))
         .collect();
     let kernel: smache::system::KernelFactory = std::sync::Arc::new(|| Box::new(AverageKernel));
     let lanes: Vec<smache::system::batch::BatchJob> = inputs
@@ -895,16 +795,7 @@ fn cmd_simulate_batch(
         mode.label()
     );
     if let Some(store) = &store {
-        let s = store.stats();
-        let _ = writeln!(
-            out,
-            "store: {} hits, {} writes, {} entries ({} bytes) in {}",
-            s.hits,
-            s.writes,
-            store.len(),
-            store.bytes(),
-            store.dir().display()
-        );
+        let _ = writeln!(out, "{}", store_line(store));
     }
     for (lane, (result, input)) in report.lanes.iter().zip(&inputs).enumerate() {
         let lane_report = result.as_ref().map_err(|e| CliError::Core(e.clone()))?;
@@ -928,19 +819,7 @@ fn cmd_simulate_batch(
                 input,
                 instances,
             )?;
-            if lane_report.output != golden {
-                return Err(smache::CoreError::Mismatch {
-                    index: lane_report
-                        .output
-                        .iter()
-                        .zip(&golden)
-                        .position(|(a, b)| a != b)
-                        .unwrap_or(0),
-                    expected: 0,
-                    actual: 0,
-                }
-                .into());
-            }
+            verify(&mut String::new(), &lane_report.output, &golden)?;
         }
     }
     if args.flag("verify") {
@@ -1020,13 +899,13 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
 }
 
 /// Opens the `--store DIR` schedule store (budget from `--store-mb`,
-/// defaulting to `default_mb`). Store errors surface as I/O errors.
-fn open_store(args: &Args, default_mb: u64) -> Result<smache::system::ScheduleStore, CliError> {
+/// unbounded by default). Store errors surface as I/O errors.
+fn open_store(args: &Args) -> Result<ScheduleStore, CliError> {
     let dir = args
         .get("store")
         .ok_or_else(|| ArgError::MissingValue("store".into()))?;
-    let budget = args.get_num("store-mb", default_mb)? * 1024 * 1024;
-    smache::system::ScheduleStore::open(std::path::Path::new(dir), budget)
+    let budget = args.get_num("store-mb", 0u64)? * 1024 * 1024;
+    ScheduleStore::open(std::path::Path::new(dir), budget)
         .map_err(|e| CliError::Io(std::io::Error::other(e.to_string())))
 }
 
@@ -1036,7 +915,7 @@ fn cmd_schedules(action: &str, args: &Args) -> Result<String, CliError> {
     if !["ls", "verify", "export", "import"].contains(&action) {
         return Err(CliError::UnknownCommand(format!("schedules {action}")));
     }
-    let mut store = open_store(args, 0)?;
+    let mut store = open_store(args)?;
     let mut out = String::new();
     match action {
         "ls" => {
@@ -1288,30 +1167,91 @@ mod tests {
         assert_eq!(a.matches("engine=replay").count(), 4, "{a}");
     }
 
+    /// A fresh, empty store directory for one test.
+    fn store_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("smache-cli-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        dir
+    }
+
+    /// The output fingerprint a simulate report prints.
+    fn fp(s: &str) -> String {
+        s.lines()
+            .find(|l| l.contains("fp="))
+            .and_then(|l| l.split("fp=").nth(1))
+            .unwrap()
+            .to_string()
+    }
+
+    /// Runs `argv` twice over one fresh `--store` directory: the first run
+    /// captures (a full simulation), the second replays the stored
+    /// schedule with the fingerprint of `--replay off`. Returns both
+    /// outputs.
+    fn cold_then_warm(tag: &str, argv: &str) -> (String, String) {
+        let dir = store_dir(tag);
+        let stored = format!("{argv} --store {}", dir.display());
+        let cold = run_str(&stored).unwrap();
+        let warm = run_str(&stored).unwrap();
+        let off = run_str(&format!("{argv} --replay off")).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(cold.contains("engine=full_sim"), "{cold}");
+        assert!(
+            cold.contains("store: 0 hits, 1 writes, 1 entries"),
+            "{cold}"
+        );
+        assert!(warm.contains("engine=replay"), "{warm}");
+        assert!(
+            warm.contains("store: 1 hits, 0 writes, 1 entries"),
+            "{warm}"
+        );
+        assert!(off.contains("engine=full_sim"), "{off}");
+        assert_eq!(fp(&warm), fp(&off), "replay is bit-exact");
+        assert_eq!(fp(&cold), fp(&off));
+        (cold, warm)
+    }
+
     #[test]
     fn pipelined_simulate_replays_and_verifies() {
-        let out = run_str("simulate --grid 8x8 --timesteps 4 --channels 2 --instances 8 --verify")
-            .unwrap();
-        assert!(out.contains("pipeline: 4 stage(s) x 2 pass(es)"), "{out}");
-        assert!(out.contains("Smache-pipe4x2"), "{out}");
-        assert!(out.contains("engine=replay"), "{out}");
-        assert!(out.contains("verified against golden reference"), "{out}");
+        let (cold, warm) = cold_then_warm(
+            "pipe-verify",
+            "simulate --grid 8x8 --timesteps 4 --channels 2 --instances 8 --verify",
+        );
+        for out in [&cold, &warm] {
+            assert!(out.contains("pipeline: 4 stage(s) x 2 pass(es)"), "{out}");
+            assert!(out.contains("Smache-pipe4x2"), "{out}");
+            assert!(out.contains("verified against golden reference"), "{out}");
+        }
     }
 
     #[test]
     fn pipelined_simulate_full_sim_matches_replay_fingerprint() {
-        let fp = |s: &str| {
-            s.lines()
-                .find(|l| l.contains("fp="))
-                .and_then(|l| l.split("fp=").nth(1))
-                .unwrap()
-                .to_string()
-        };
-        let sim = run_str("simulate --grid 8x8 --timesteps 2 --instances 4 --replay off").unwrap();
-        let rep = run_str("simulate --grid 8x8 --timesteps 2 --instances 4 --replay on").unwrap();
-        assert!(sim.contains("engine=full_sim"), "{sim}");
-        assert!(rep.contains("engine=replay"), "{rep}");
-        assert_eq!(fp(&sim), fp(&rep), "replay is bit-exact");
+        cold_then_warm(
+            "pipe-fp",
+            "simulate --grid 8x8 --timesteps 2 --instances 4 --replay on",
+        );
+    }
+
+    #[test]
+    fn single_runs_persist_to_the_store_and_replay_from_it() {
+        let dir = store_dir("single");
+        let d = dir.display();
+        let cold = run_str(&format!("simulate --grid 16x16 --instances 2 --store {d}")).unwrap();
+        assert!(cold.contains("engine=full_sim"), "{cold}");
+        assert!(
+            cold.contains("store: 0 hits, 1 writes, 1 entries"),
+            "{cold}"
+        );
+        let entries = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(entries, 1, "one schedule file");
+        // A new data seed, same spec: the stored schedule replays.
+        let warm = run_str(&format!(
+            "simulate --grid 16x16 --instances 2 --seed 9 --store {d}"
+        ))
+        .unwrap();
+        assert!(warm.contains("engine=replay"), "{warm}");
+        assert!(warm.contains("store: 1 hits"), "{warm}");
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1342,13 +1282,14 @@ mod tests {
     #[test]
     fn pipelined_chaos_verifies_or_faults() {
         // Latency-only chaos: absorbed, replayed, still golden.
-        let out = run_str(
+        let (cold, warm) = cold_then_warm(
+            "pipe-chaos",
             "simulate --grid 8x8 --timesteps 2 --channels 2 --instances 4 \
              --chaos-profile storms --chaos-seed 7 --verify",
-        )
-        .unwrap();
-        assert!(out.contains("engine=replay"), "{out}");
-        assert!(out.contains("verified against golden reference"), "{out}");
+        );
+        for out in [&cold, &warm] {
+            assert!(out.contains("verified against golden reference"), "{out}");
+        }
         // Corrupting chaos: refused capture, auto falls back, fault surfaces.
         let err = run_str("simulate --grid 8x8 --timesteps 2 --instances 2 --chaos-profile flip:5")
             .unwrap_err();

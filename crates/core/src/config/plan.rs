@@ -311,6 +311,10 @@ pub struct BufferPlan {
     pub static_buffers: Arc<[StaticBufferSpec]>,
     /// Stream-buffer placement mode.
     pub hybrid: HybridMode,
+    /// The split strategy analysis ran with.
+    pub strategy: PlanStrategy,
+    /// Where analysis placed the static buffers (BRAM or registers).
+    pub static_kind: MemKind,
     /// Number of distinct stencil cases (distinct exact tuple signatures;
     /// nine for the paper's validation grid).
     pub n_cases: usize,
@@ -480,6 +484,8 @@ impl BufferPlan {
             taps,
             static_buffers: static_buffers.into(),
             hybrid,
+            strategy,
+            static_kind,
             n_cases,
             statics_are_regions: false,
         })

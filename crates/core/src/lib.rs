@@ -26,6 +26,7 @@
 //! | [`system`] | the full cycle-accurate Smache system (DRAM → Smache → kernel → DRAM), its metrics, and the batched sweep driver [`SmacheSystem::run_batch`](system::SmacheSystem::run_batch) |
 //! | [`pipeline`] | beyond the paper: temporal blocking — `depth` chained Smache stages over multi-channel DRAM ([`pipeline::TemporalPipeline`]) |
 //! | [`functional`] | the fast golden/functional models used for verification |
+//! | [`engine`] | the one schedule key and resolution ladder (cache → store → capture → replay) the CLI, batch and `smache serve` share |
 //! | [`builder`] | the high-level public API: [`builder::SmacheBuilder`] |
 //! | [`spec`] | the textual problem schema shared by the CLI and `smache serve` |
 //!
@@ -54,6 +55,7 @@ pub mod arch;
 pub mod builder;
 pub mod config;
 pub mod cost;
+pub mod engine;
 pub mod error;
 pub mod functional;
 pub mod pipeline;

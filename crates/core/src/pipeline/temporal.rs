@@ -35,16 +35,16 @@
 //! **Capture/replay.** The pipeline's control plane is a pure function of
 //! (plan, system config, pipeline geometry, kernel, passes), so
 //! [`TemporalPipeline::run_captured`] records one [`ControlSchedule`]
-//! keyed on all of those; because one pass is functionally `depth`
-//! sequential timesteps, the schedule carries `depth × passes` instances
-//! and replays through the unchanged single-step machinery (including
-//! lane-batched replay). See `docs/PIPELINE.md`.
+//! keyed on all of those (the [`crate::engine`] key); because one pass
+//! is functionally `depth` sequential timesteps, the schedule carries
+//! `depth × passes` instances and replays through the unchanged
+//! single-step machinery (including lane-batched replay). See
+//! `docs/PIPELINE.md`.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use smache_mem::{FaultyFifo, MultiChannelConfig, MultiChannelDram, StormGen, Word};
-use smache_sim::hash::fingerprint128;
 use smache_sim::telemetry::{ProbeKind, Probed, Telemetry, TelemetryConfig, TelemetrySnapshot};
 use smache_sim::{CycleStats, ReplayUnsupported, ResourceUsage};
 
@@ -52,10 +52,11 @@ use crate::arch::controller::{ControllerPhase, SmacheModule, SmacheResourceBreak
 use crate::arch::kernel::Kernel;
 use crate::config::{BufferPlan, SourceTable};
 use crate::cost::FreqModel;
+use crate::engine::plan_key;
 use crate::error::{CoreError, FaultDiagnostic};
 use crate::pipeline::link::StageLink;
 use crate::system::metrics::DesignMetrics;
-use crate::system::replay::{build_gather_table, schedule_key_text, ControlSchedule};
+use crate::system::replay::{build_gather_table, ControlSchedule};
 use crate::system::report::{RunEngine, RunReport};
 use crate::system::smache_system::SystemConfig;
 use crate::CoreResult;
@@ -286,29 +287,6 @@ impl TemporalPipeline {
     /// Mutable access to the attached telemetry (export, clear).
     pub fn telemetry_mut(&mut self) -> Option<&mut Telemetry> {
         self.telemetry.as_deref_mut()
-    }
-
-    /// The canonical key text of a schedule captured from this pipeline
-    /// for `passes` passes: the single-step
-    /// [`schedule_key_text`] over `depth × passes` instances, extended
-    /// with the pipeline geometry (every knob that shapes the pipelined
-    /// control plane).
-    pub fn schedule_key_text(&self, passes: u64) -> String {
-        let instances = self.stages.len() as u64 * passes;
-        let mut text = schedule_key_text(
-            self.plan(),
-            &self.config.system,
-            self.kernel.as_ref(),
-            instances,
-        );
-        text.push_str(&format!(
-            ";pipeline={}:{}:{}:{}",
-            self.stages.len(),
-            self.config.channels,
-            self.config.interleave_words,
-            self.config.cmd_gap
-        ));
-        text
     }
 
     /// Advances the pipeline by one clock cycle.
@@ -804,57 +782,12 @@ impl TemporalPipeline {
             .map_err(CoreError::ReplayRefused)?;
         let gather = build_gather_table(self.plan(), self.stages[0].sources())?;
         let instances = self.stages.len() as u64 * passes;
-        let key = fingerprint128(self.schedule_key_text(passes).as_bytes());
-
         self.recorder = Some(smache_sim::ControlTrace::new());
         let outcome = self.run(input, passes);
         let trace = self.recorder.take().unwrap_or_default();
-        let report = outcome?;
-
-        let totals = trace.totals();
-        let diverged = |detail: String| {
-            CoreError::ReplayRefused(ReplayUnsupported::ScheduleDivergence { detail })
-        };
-        if totals.cycles != report.stats.cycles
-            || totals.stall_cycles != report.stats.stall_cycles
-            || totals.transfers != report.stats.transfers
-            || totals.warmup_cycles != report.warmup_cycles
-        {
-            return Err(diverged(format!(
-                "trace totals {totals:?} disagree with run stats {:?} (warmup {})",
-                report.stats, report.warmup_cycles
-            )));
-        }
-
-        let mut template = report.clone();
-        template.output = Vec::new();
-        let schedule = ControlSchedule::from_parts(
-            key,
-            self.n,
-            instances,
-            self.kernel.name().to_string(),
-            self.kernel.latency(),
-            gather,
-            trace,
-            template,
-        );
-
-        let replayed = schedule
-            .replay(self.kernel.as_ref(), input)
-            .map_err(|e| diverged(format!("self-replay refused: {e}")))?;
-        if replayed.output != report.output {
-            let idx = replayed
-                .output
-                .iter()
-                .zip(&report.output)
-                .position(|(a, b)| a != b)
-                .unwrap_or(0);
-            return Err(diverged(format!(
-                "self-replay output mismatch at element {idx}"
-            )));
-        }
-
-        Ok((report, Arc::new(schedule)))
+        let (kernel, config) = (self.kernel.as_ref(), &self.config);
+        let key = plan_key(self.plan(), &config.system, kernel, instances, Some(config));
+        ControlSchedule::seal(key, kernel, instances, gather, trace, outcome?, input)
     }
 
     /// Synthesised resources of the full pipeline: every stage's module
@@ -1109,28 +1042,6 @@ mod tests {
         assert_eq!(replayed.output, full.output);
         assert_eq!(replayed.stats, full.stats);
         assert_eq!(replayed.engine, RunEngine::Replay);
-    }
-
-    #[test]
-    fn schedule_keys_fork_on_pipeline_geometry() {
-        let mk = |depth: usize, channels: usize, gap: u64| {
-            TemporalPipeline::new(
-                plan_for(BoundarySpec::paper_case(), 11, 11),
-                Box::new(AverageKernel),
-                PipelineConfig {
-                    depth,
-                    channels,
-                    cmd_gap: gap,
-                    ..PipelineConfig::default()
-                },
-            )
-            .unwrap()
-        };
-        let base = mk(2, 1, 1).schedule_key_text(3);
-        assert_ne!(base, mk(3, 1, 1).schedule_key_text(2), "depth forks");
-        assert_ne!(base, mk(2, 4, 1).schedule_key_text(3), "channels fork");
-        assert_ne!(base, mk(2, 1, 4).schedule_key_text(3), "cmd_gap forks");
-        assert!(base.contains(";pipeline=2:1:1:1"));
     }
 
     #[test]

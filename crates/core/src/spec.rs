@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 use smache_mem::MemKind;
 use smache_stencil::{AxisBoundaries, Boundary, BoundarySpec, GridSpec, StencilShape};
 
-use crate::config::{Algorithm1, HybridMode, PlanStrategy};
+use crate::config::{Algorithm1, BufferPlan, HybridMode, PlanStrategy};
 
 /// A rejected specification value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -288,6 +288,24 @@ impl ProblemSpec {
             .strategy(self.strategy)
             .static_kind(self.static_kind)
             .word_bits(self.word_bits)
+    }
+
+    /// The spec `plan` was analysed from: [`builder`](Self::builder)`()`
+    /// `.plan()` run backwards over the fields a plan records. A plan
+    /// knows nothing of the temporal pipeline, so `timesteps` and
+    /// `channels` come back as 1.
+    pub fn of_plan(plan: &BufferPlan) -> ProblemSpec {
+        ProblemSpec {
+            grid: plan.grid.clone(),
+            shape: plan.shape.clone(),
+            bounds: plan.bounds.clone(),
+            hybrid: plan.hybrid,
+            strategy: plan.strategy,
+            static_kind: plan.static_kind,
+            word_bits: plan.word_bits,
+            timesteps: 1,
+            channels: 1,
+        }
     }
 
     /// The canonical, normalised rendering of this specification.

@@ -11,17 +11,15 @@
 //! [`BatchOptions`]: threads, [`ReplayMode`], an optional persistent
 //! [`ScheduleStore`], and the replay lane-block size all live on one
 //! builder-style options struct, so new batch knobs grow there instead of
-//! spawning new entry points. (The former `run_batch_replay` /
-//! `run_batch_replay_stored` shims served their one-release deprecation
-//! window and are gone.)
+//! spawning new entry points.
 //!
 //! Results come back in job order regardless of which worker finished
 //! first, so a batched sweep is bit-identical to a serial one — the same
 //! guarantee [`smache_sim::run_batch`] gives at the simulator level, which
-//! this module builds on. Replay-eligible lanes that share a
-//! [`schedule_key`] are grouped into structure-of-arrays lane blocks and
-//! driven through [`ControlSchedule::replay_lanes`], one gather-row decode
-//! per element for the whole block.
+//! this module builds on. Replay-eligible lanes that share a schedule key
+//! ([`crate::engine`]) are grouped into structure-of-arrays lane blocks
+//! and driven through [`ControlSchedule::replay_lanes`], one gather-row
+//! decode per element for the whole block.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -30,8 +28,9 @@ use smache_sim::CycleStats;
 
 use crate::arch::kernel::Kernel;
 use crate::config::BufferPlan;
+use crate::engine::{Engine, Job, Provenance};
 use crate::error::CoreError;
-use crate::system::replay::{schedule_key, ControlSchedule, ReplayMode};
+use crate::system::replay::{ControlSchedule, ReplayMode};
 use crate::system::smache_system::{RunReport, SmacheSystem, SystemConfig};
 use crate::system::store::ScheduleStore;
 use crate::CoreResult;
@@ -80,6 +79,11 @@ impl BatchJob {
     pub fn with_config(mut self, config: SystemConfig) -> Self {
         self.config = config;
         self
+    }
+
+    /// The lane as an engine [`Job`].
+    fn job(&self) -> Job<'_> {
+        Job::plan(&self.plan, &*self.kernel, self.config, self.instances)
     }
 }
 
@@ -186,33 +190,6 @@ fn run_one(job: BatchJob) -> CoreResult<RunReport> {
     system.run(&job.input, job.instances)
 }
 
-fn capture_one(job: &BatchJob) -> CoreResult<(RunReport, Arc<ControlSchedule>)> {
-    let mut system = SmacheSystem::new(job.plan.clone(), (job.kernel)(), job.config)?;
-    system.run_captured(&job.input, job.instances)
-}
-
-/// A batch spec seen in pass 1, memoised so its [`schedule_key`] — which
-/// formats and fingerprints the whole plan — is derived **once** per batch
-/// rather than once per lane (the old fallback path re-keyed every lane of
-/// a refused spec). Lanes cloned from one plan share its decision and
-/// static-buffer lists, so matching a lane compares those by pointer.
-struct SpecKey {
-    kernel: KernelFactory,
-    instances: u64,
-    config: SystemConfig,
-    plan: BufferPlan,
-    key: (u64, u64),
-}
-
-impl SpecKey {
-    fn matches(&self, job: &BatchJob) -> bool {
-        Arc::ptr_eq(&self.kernel, &job.kernel)
-            && self.instances == job.instances
-            && self.config == job.config
-            && self.plan == job.plan
-    }
-}
-
 /// What a worker has to do for one unit of pass-2 work. Each unit carries
 /// the job indices it resolves, so results scatter back into job order.
 enum Work {
@@ -265,7 +242,7 @@ impl SmacheSystem {
     /// running the jobs serially, independent of `options.threads`.
     ///
     /// **Replay** ([`BatchOptions::replay`], default [`ReplayMode::Auto`]):
-    /// lanes that share a [`schedule_key`] (same plan, config, kernel,
+    /// lanes that share a schedule key (same plan, config, kernel,
     /// instance count and — for active latency-only fault plans — chaos
     /// seed; *data* seeds do not matter) capture the control plane **once**
     /// and replay it for every other lane, bit-exact with the full
@@ -284,7 +261,8 @@ impl SmacheSystem {
     ///   instead of falling back.
     ///
     /// **Store** ([`BatchOptions::store`]): before capturing a distinct
-    /// key, the persistent [`ScheduleStore`] is consulted — a sound
+    /// key, the [`crate::engine`] consults the persistent
+    /// [`ScheduleStore`] under the key every other surface uses — a sound
     /// on-disk entry replays directly (no capture lane at all), and every
     /// fresh capture is written back, so a *subsequent* batch of the same
     /// specs starts warm. Damaged entries are discarded and recaptured;
@@ -297,7 +275,7 @@ impl SmacheSystem {
         let BatchOptions {
             threads,
             replay: mode,
-            mut store,
+            store,
             lane_block,
         } = options;
         let lane_block = lane_block.max(1);
@@ -305,68 +283,50 @@ impl SmacheSystem {
             return BatchReport::collect(smache_sim::run_batch(jobs, threads, run_one));
         }
         let total = jobs.len();
-        // Pass 1 (serial): load or capture one schedule per distinct key.
-        // The capture lane is itself a complete full-simulation run, so
-        // its report is kept — nothing is simulated twice. Specs are
-        // memoised so each distinct spec is keyed exactly once, and
-        // replay lanes accumulate into open per-key lane blocks.
-        let mut specs: Vec<SpecKey> = Vec::new();
+        // Pass 1 (serial): load or capture one schedule per distinct key
+        // through the engine. The capture lane is itself a complete
+        // full-simulation run, so its report is kept — nothing is
+        // simulated twice. `schedules` is this call's in-memory tier, so
+        // the engine keeps no cache of its own.
+        let engine = Engine::new(0, store);
         let mut schedules: HashMap<(u64, u64), Result<Arc<ControlSchedule>, CoreError>> =
             HashMap::new();
         let mut open_block: HashMap<(u64, u64), usize> = HashMap::new();
         let mut work: Vec<Work> = Vec::new();
         for (idx, job) in jobs.into_iter().enumerate() {
-            let key = match specs.iter().find(|s| s.matches(&job)) {
-                Some(spec) => spec.key,
-                None => {
-                    let key = schedule_key(
-                        &job.plan,
-                        &job.config,
-                        (job.kernel)().as_ref(),
-                        job.instances,
-                    );
-                    specs.push(SpecKey {
-                        kernel: Arc::clone(&job.kernel),
-                        instances: job.instances,
-                        config: job.config,
-                        plan: job.plan.clone(),
-                        key,
-                    });
-                    key
+            // Deriving a lane's key costs a few microseconds, less than
+            // comparing its plan with one already seen.
+            let found = match job.job().key() {
+                Err(reason) => Err(CoreError::ReplayRefused(reason)),
+                Ok(key) => {
+                    if let std::collections::hash_map::Entry::Vacant(slot) = schedules.entry(key) {
+                        let mut prov = Provenance::default();
+                        match engine.schedule(&job.job(), key, &job.input, &mut prov) {
+                            Ok((schedule, captured)) => {
+                                slot.insert(Ok(schedule));
+                                if let Some(report) = captured {
+                                    work.push(Work::Done(idx, Ok(report)));
+                                    continue;
+                                }
+                            }
+                            // A genuine run failure is the capture lane's
+                            // result regardless of mode (full sim would
+                            // hit it too); later lanes run in full.
+                            Err(e) if !matches!(e, CoreError::ReplayRefused(_)) => {
+                                slot.insert(Err(e.clone()));
+                                work.push(Work::Done(idx, Err(e)));
+                                continue;
+                            }
+                            Err(e) => {
+                                slot.insert(Err(e));
+                            }
+                        }
+                    }
+                    schedules[&key].clone().map(|s| (key, s))
                 }
             };
-            if let std::collections::hash_map::Entry::Vacant(slot) = schedules.entry(key) {
-                if let Some(store) = store.as_deref_mut() {
-                    if let Ok(Some(schedule)) = store.load_or_evict(key) {
-                        slot.insert(Ok(schedule));
-                    }
-                }
-            }
-            match schedules.get(&key) {
-                None => match capture_one(&job) {
-                    Ok((report, schedule)) => {
-                        if let Some(store) = store.as_deref_mut() {
-                            store.save(key, &schedule).ok();
-                        }
-                        schedules.insert(key, Ok(schedule));
-                        work.push(Work::Done(idx, Ok(report)));
-                    }
-                    Err(e) => {
-                        schedules.insert(key, Err(e.clone()));
-                        match (mode, &e) {
-                            // Forced replay: the refusal is the result.
-                            (ReplayMode::On, CoreError::ReplayRefused(_)) => {
-                                work.push(Work::Done(idx, Err(e)));
-                            }
-                            // Auto: an ineligible spec runs the full sim.
-                            (_, CoreError::ReplayRefused(_)) => work.push(Work::Full(idx, job)),
-                            // A genuine run failure is this lane's result
-                            // regardless of mode (full sim would hit it too).
-                            _ => work.push(Work::Done(idx, Err(e))),
-                        }
-                    }
-                },
-                Some(Ok(schedule)) => match open_block.get(&key) {
+            match found {
+                Ok((key, schedule)) => match open_block.get(&key) {
                     Some(&slot) if matches!(&work[slot], Work::Replay(_, lanes) if lanes.len() < lane_block) => {
                         if let Work::Replay(_, lanes) = &mut work[slot] {
                             lanes.push((idx, job));
@@ -374,18 +334,17 @@ impl SmacheSystem {
                     }
                     _ => {
                         open_block.insert(key, work.len());
-                        work.push(Work::Replay(Arc::clone(schedule), vec![(idx, job)]));
+                        work.push(Work::Replay(schedule, vec![(idx, job)]));
                     }
                 },
-                Some(Err(e)) => match (mode, e) {
-                    (ReplayMode::On, CoreError::ReplayRefused(_)) => {
-                        work.push(Work::Done(idx, Err(e.clone())));
-                    }
-                    // No schedule for this key: run the lane in full (its
-                    // own input may well succeed even if the capture lane's
-                    // run failed).
-                    _ => work.push(Work::Full(idx, job)),
-                },
+                // Forced replay: the refusal is the result.
+                Err(e @ CoreError::ReplayRefused(_)) if mode == ReplayMode::On => {
+                    work.push(Work::Done(idx, Err(e)));
+                }
+                // No schedule for this key: run the lane in full (its own
+                // input may well succeed even if the capture lane's run
+                // failed).
+                Err(_) => work.push(Work::Full(idx, job)),
             }
         }
         // Pass 2 (parallel): replay the lane blocks, full-simulate the

@@ -16,7 +16,7 @@ pub use batch::{BatchJob, BatchOptions, BatchReport, KernelFactory, DEFAULT_LANE
 pub use cascade::{CascadeReport, CascadeSystem};
 pub use metrics::{DesignMetrics, NormalisedMetrics};
 pub use multilane::{MultilaneReport, MultilaneSystem};
-pub use replay::{schedule_key, ControlSchedule, ReplayMode};
+pub use replay::{ControlSchedule, ReplayMode};
 pub use report::{RunEngine, RunReport};
 pub use report_json::REPORT_SCHEMA_VERSION;
 pub use smache_system::{SmacheSystem, SystemConfig};

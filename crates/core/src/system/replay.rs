@@ -41,8 +41,9 @@
 //! captured under one — keyed on (spec, chaos-seed) — replays across data
 //! seeds like any clean schedule.
 //!
-//! Schedules are keyed by [`fingerprint128`] of a canonical, data-seed-
-//! independent rendering of the spec ([`schedule_key`]) and cached:
+//! Schedules are keyed by the data-seed-independent key of
+//! [`crate::engine`], whose ladder (schedule cache → store → capture →
+//! replay) every surface shares:
 //! [`SmacheSystem::run_batch`](crate::system::SmacheSystem::run_batch)
 //! captures once per distinct key and replays the other lanes — grouped
 //! into structure-of-arrays lane blocks driven by
@@ -53,14 +54,14 @@
 use std::sync::Arc;
 
 use smache_mem::Word;
-use smache_sim::hash::fingerprint128;
 use smache_sim::{ControlTrace, GatherTable, ReplayUnsupported, SlotSource};
 
 use crate::arch::kernel::Kernel;
 use crate::config::{BufferPlan, SourceSlot, SourceTable};
+use crate::engine::plan_key;
 use crate::error::CoreError;
 use crate::system::report::{RunEngine, RunReport};
-use crate::system::smache_system::{SmacheSystem, SystemConfig};
+use crate::system::smache_system::SmacheSystem;
 use crate::CoreResult;
 
 /// How a front end chooses between full simulation and schedule replay.
@@ -97,74 +98,28 @@ impl ReplayMode {
     }
 }
 
-/// The canonical text fingerprinted into a schedule's cache key: every
-/// parameter that shapes the control plane, and nothing that doesn't.
-/// *Data* seeds and input data are deliberately absent — that is what
-/// makes the key shareable across differing-seed runs of one spec. The
-/// *chaos* seed and profile of an active latency-only fault plan **are**
-/// present: chaos draws are a pure function of (chaos-seed, cycle), so
-/// they shape the control plane exactly like any other spec parameter.
-pub fn schedule_key_text(
-    plan: &BufferPlan,
-    config: &SystemConfig,
-    kernel: &dyn Kernel,
-    instances: u64,
-) -> String {
-    // `Debug` renderings are deterministic for these plain-data types. An
-    // inactive fault plan (any seed) does not touch the control plane, so
-    // it contributes nothing — keeping the inactive-plan key text
-    // byte-identical to pre-chaos-replay schedules already on disk.
-    let mut text = format!(
-        "sched-v1;plan={:?};dram={:?};resp_high_water={};watchdog={};double_buffering={};kernel={}:{};instances={}",
-        plan,
-        config.dram,
-        config.resp_high_water,
-        config.watchdog_cycles_per_element,
-        config.double_buffering,
-        kernel.name(),
-        kernel.latency(),
-        instances,
-    );
-    if config.fault_plan.is_active() {
-        text.push_str(&format!(
-            ";chaos={}:{:?}",
-            config.fault_plan.seed, config.fault_plan.profile
-        ));
-    }
-    text
-}
-
-/// The 128-bit content address of a control schedule
-/// ([`fingerprint128`] of [`schedule_key_text`]).
-pub fn schedule_key(
-    plan: &BufferPlan,
-    config: &SystemConfig,
-    kernel: &dyn Kernel,
-    instances: u64,
-) -> (u64, u64) {
-    fingerprint128(schedule_key_text(plan, config, kernel, instances).as_bytes())
-}
-
 /// A captured control schedule: everything needed to reproduce a run of
 /// the captured spec over fresh data without re-simulating.
 #[derive(Debug, Clone)]
 pub struct ControlSchedule {
-    key: (u64, u64),
-    n: usize,
-    instances: u64,
-    kernel_name: String,
-    kernel_latency: u64,
-    gather: GatherTable,
-    trace: ControlTrace,
+    // Crate-visible so the store decoder, which checksums and
+    // cross-validates every field first, can reassemble a schedule.
+    pub(crate) key: (u64, u64),
+    pub(crate) n: usize,
+    pub(crate) instances: u64,
+    pub(crate) kernel_name: String,
+    pub(crate) kernel_latency: u64,
+    pub(crate) gather: GatherTable,
+    pub(crate) trace: ControlTrace,
     /// The capture run's report with the output cleared: every remaining
     /// field (cycles, DRAM traffic, resources, warm-up, stats) is
     /// data-independent, so replay clones it and fills in fresh outputs.
-    template: RunReport,
+    pub(crate) template: RunReport,
 }
 
 impl ControlSchedule {
-    /// The schedule's content-address ([`schedule_key`] of the captured
-    /// spec).
+    /// The schedule's content-address: the [`crate::engine`] key of the
+    /// captured run.
     pub fn key(&self) -> (u64, u64) {
         self.key
     }
@@ -201,30 +156,64 @@ impl ControlSchedule {
         &self.template
     }
 
-    /// Reassembles a schedule from its parts (store deserialisation). The
-    /// caller is responsible for structural validity — the store decoder
-    /// checksums and cross-validates every field before calling this.
-    #[allow(clippy::too_many_arguments)] // mirrors the serialised field list
-    pub(crate) fn from_parts(
+    /// Seals a capture run into a schedule, after checking it: the
+    /// recorded trace totals must reproduce the run's cycle accounting,
+    /// and replaying the capture input must reproduce the run's output
+    /// bit-exactly. A mismatch surfaces as
+    /// [`ReplayUnsupported::ScheduleDivergence`] — a loud, typed failure
+    /// instead of a silently wrong schedule.
+    pub(crate) fn seal(
         key: (u64, u64),
-        n: usize,
+        kernel: &dyn Kernel,
         instances: u64,
-        kernel_name: String,
-        kernel_latency: u64,
         gather: GatherTable,
-        trace: ControlTrace,
-        template: RunReport,
-    ) -> ControlSchedule {
-        ControlSchedule {
+        mut trace: ControlTrace,
+        report: RunReport,
+        input: &[Word],
+    ) -> CoreResult<(RunReport, Arc<ControlSchedule>)> {
+        trace.shrink_to_fit();
+        let totals = trace.totals();
+        let diverged = |detail: String| {
+            CoreError::ReplayRefused(ReplayUnsupported::ScheduleDivergence { detail })
+        };
+        if totals.cycles != report.stats.cycles
+            || totals.stall_cycles != report.stats.stall_cycles
+            || totals.transfers != report.stats.transfers
+            || totals.warmup_cycles != report.warmup_cycles
+        {
+            return Err(diverged(format!(
+                "trace totals {totals:?} disagree with run stats {:?} (warmup {})",
+                report.stats, report.warmup_cycles
+            )));
+        }
+        let schedule = ControlSchedule {
             key,
-            n,
+            n: gather.len(),
             instances,
-            kernel_name,
-            kernel_latency,
+            kernel_name: kernel.name().to_string(),
+            kernel_latency: kernel.latency(),
             gather,
             trace,
-            template,
+            template: RunReport {
+                output: Vec::new(),
+                ..report.clone()
+            },
+        };
+        let replayed = schedule
+            .replay(kernel, input)
+            .map_err(|e| diverged(format!("self-replay refused: {e}")))?;
+        if replayed.output != report.output {
+            let idx = replayed
+                .output
+                .iter()
+                .zip(&report.output)
+                .position(|(a, b)| a != b)
+                .unwrap_or(0);
+            return Err(diverged(format!(
+                "self-replay output mismatch at element {idx}"
+            )));
         }
+        Ok((report, Arc::new(schedule)))
     }
 
     /// The recorded per-cycle control-plane trace.
@@ -392,60 +381,20 @@ impl SmacheSystem {
         self.replay_eligibility()
             .map_err(CoreError::ReplayRefused)?;
         let gather = build_gather_table(self.plan(), self.module_sources())?;
-        let key = schedule_key(self.plan(), self.config(), self.kernel(), instances);
+        let key = plan_key(self.plan(), self.config(), self.kernel(), instances, None);
 
         self.begin_capture();
         let outcome = self.run(input, instances);
-        let mut trace = self.take_capture().unwrap_or_default();
-        trace.shrink_to_fit();
-        let report = outcome?;
-
-        let totals = trace.totals();
-        let diverged = |detail: String| {
-            CoreError::ReplayRefused(ReplayUnsupported::ScheduleDivergence { detail })
-        };
-        if totals.cycles != report.stats.cycles
-            || totals.stall_cycles != report.stats.stall_cycles
-            || totals.transfers != report.stats.transfers
-            || totals.warmup_cycles != report.warmup_cycles
-        {
-            return Err(diverged(format!(
-                "trace totals {totals:?} disagree with run stats {:?} (warmup {})",
-                report.stats, report.warmup_cycles
-            )));
-        }
-
-        let mut template = report.clone();
-        template.output = Vec::new();
-        let schedule = ControlSchedule {
+        let trace = self.take_capture().unwrap_or_default();
+        ControlSchedule::seal(
             key,
-            n: self.plan().grid.len(),
+            self.kernel(),
             instances,
-            kernel_name: self.kernel().name().to_string(),
-            kernel_latency: self.kernel().latency(),
             gather,
             trace,
-            template,
-        };
-
-        // Replay the capture input through the fresh schedule and demand
-        // bit-exactness before anyone else trusts it.
-        let replayed = schedule
-            .replay(self.kernel(), input)
-            .map_err(|e| diverged(format!("self-replay refused: {e}")))?;
-        if replayed.output != report.output {
-            let idx = replayed
-                .output
-                .iter()
-                .zip(&report.output)
-                .position(|(a, b)| a != b)
-                .unwrap_or(0);
-            return Err(diverged(format!(
-                "self-replay output mismatch at element {idx}"
-            )));
-        }
-
-        Ok((report, Arc::new(schedule)))
+            outcome?,
+            input,
+        )
     }
 }
 
@@ -567,42 +516,6 @@ mod tests {
     }
 
     #[test]
-    fn chaos_seed_and_profile_are_part_of_the_key_only_when_active() {
-        use smache_mem::{ChaosProfile, FaultPlan};
-        let with_plan = |plan: FaultPlan| {
-            SmacheBuilder::new(GridSpec::d2(11, 11).expect("grid"))
-                .fault_plan(plan)
-                .build()
-                .expect("build")
-        };
-        let clean = paper_system();
-        let clean_key = schedule_key(clean.plan(), clean.config(), &AverageKernel, 4);
-        // Inactive plans (any seed) key identically to no plan at all — the
-        // key *text* is byte-identical, so on-disk schedules stay valid.
-        let idle = with_plan(FaultPlan::new(99, ChaosProfile::none()));
-        assert_eq!(
-            schedule_key_text(clean.plan(), clean.config(), &AverageKernel, 4),
-            schedule_key_text(idle.plan(), idle.config(), &AverageKernel, 4),
-        );
-        // An active plan forks the key, per chaos seed and per profile.
-        let a = with_plan(FaultPlan::new(7, ChaosProfile::storms()));
-        let key_a = schedule_key(a.plan(), a.config(), &AverageKernel, 4);
-        assert_ne!(key_a, clean_key);
-        let b = with_plan(FaultPlan::new(8, ChaosProfile::storms()));
-        assert_ne!(
-            key_a,
-            schedule_key(b.plan(), b.config(), &AverageKernel, 4),
-            "chaos seed is part of the key"
-        );
-        let c = with_plan(FaultPlan::new(7, ChaosProfile::jitter()));
-        assert_ne!(
-            key_a,
-            schedule_key(c.plan(), c.config(), &AverageKernel, 4),
-            "chaos profile is part of the key"
-        );
-    }
-
-    #[test]
     fn lane_batched_replay_matches_per_lane_replay() {
         let mut sys = paper_system();
         let (_, schedule) = sys.run_captured(&ramp(121), 2).expect("capture");
@@ -635,25 +548,6 @@ mod tests {
                 actual: 64
             })
         ));
-    }
-
-    #[test]
-    fn schedule_keys_are_seed_independent_and_spec_sensitive() {
-        let a = paper_system();
-        let b = paper_system();
-        let key_a = schedule_key(a.plan(), a.config(), &AverageKernel, 4);
-        let key_b = schedule_key(b.plan(), b.config(), &AverageKernel, 4);
-        assert_eq!(key_a, key_b, "same spec, same key — no seed involved");
-        assert_ne!(
-            key_a,
-            schedule_key(a.plan(), a.config(), &AverageKernel, 5),
-            "instances are part of the key"
-        );
-        assert_ne!(
-            key_a,
-            schedule_key(a.plan(), a.config(), &MaxKernel, 4),
-            "kernel is part of the key"
-        );
     }
 
     #[test]

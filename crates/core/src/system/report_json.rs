@@ -16,6 +16,7 @@ use smache_sim::json::Json;
 use smache_sim::{CycleStats, ResourceUsage, TelemetrySnapshot};
 
 use crate::arch::controller::SmacheResourceBreakdown;
+use crate::pipeline::PIPE_STALL_COMPONENT;
 use crate::system::axi::AXI_COMPONENT;
 use crate::system::metrics::DesignMetrics;
 use crate::system::report::{RunEngine, RunReport};
@@ -34,6 +35,7 @@ const KNOWN_COMPONENTS: &[&str] = &[
     smache_mem::FIFO_COMPONENT,
     AXI_COMPONENT,
     STALL_COMPONENT,
+    PIPE_STALL_COMPONENT,
 ];
 
 fn ju(v: u64) -> Json {
@@ -416,6 +418,22 @@ mod tests {
         // Serialize → parse → serialize is byte-identical.
         assert_eq!(parsed.to_json().compact(), doc.compact());
         assert_eq!(parsed.to_json().pretty(), doc.pretty());
+    }
+
+    #[test]
+    fn every_live_fault_component_round_trips() {
+        let mut report = small_report();
+        for &component in KNOWN_COMPONENTS {
+            report.fault_events.push(smache_mem::FaultEvent {
+                cycle: 7,
+                component,
+                kind: smache_mem::FaultKind::StallStorm,
+                detail: 3,
+            });
+        }
+        let parsed = RunReport::from_json(&report.to_json()).expect("parse");
+        assert_eq!(parsed.fault_events, report.fault_events);
+        assert!(KNOWN_COMPONENTS.contains(&PIPE_STALL_COMPONENT));
     }
 
     #[test]

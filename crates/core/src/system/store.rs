@@ -363,10 +363,10 @@ impl ScheduleStore {
     /// Persists `schedule` under `key` (atomically: write temp, then
     /// rename), then evicts LRU entries until the byte budget holds.
     ///
-    /// The storage key is the *caller's* content address — `smache serve`
-    /// keys by the canonical request spec, the batch path by
-    /// [`schedule_key`](crate::system::schedule_key) — and need not equal
-    /// [`ControlSchedule::key`], which is preserved inside the payload.
+    /// The storage key is the *caller's* content address — every surface
+    /// passes the [`crate::engine`] key, which a capture also stamps into
+    /// [`ControlSchedule::key`] — and the two need not be equal: the
+    /// schedule's own key is preserved inside the payload.
     pub fn save(&mut self, key: (u64, u64), schedule: &ControlSchedule) -> Result<(), StoreError> {
         let bytes = encode_entry(key, schedule);
         let path = self.entry_path(key);
@@ -846,8 +846,8 @@ fn decode_payload(payload: &[u8]) -> Result<ControlSchedule, StoreError> {
         )));
     }
 
-    Ok(ControlSchedule::from_parts(
-        sched_key,
+    Ok(ControlSchedule {
+        key: sched_key,
         n,
         instances,
         kernel_name,
@@ -855,7 +855,7 @@ fn decode_payload(payload: &[u8]) -> Result<ControlSchedule, StoreError> {
         gather,
         trace,
         template,
-    ))
+    })
 }
 
 /// A bounds-checked little-endian reader over a byte slice; every overrun

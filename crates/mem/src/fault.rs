@@ -216,7 +216,7 @@ pub struct ChaosProfile {
 
 impl ChaosProfile {
     /// No faults at all (the default).
-    pub fn none() -> Self {
+    pub const fn none() -> Self {
         ChaosProfile {
             read_jitter_prob: 0.0,
             read_jitter_max: 0,
@@ -230,7 +230,7 @@ impl ChaosProfile {
     }
 
     /// DRAM latency jitter only.
-    pub fn jitter() -> Self {
+    pub const fn jitter() -> Self {
         ChaosProfile {
             read_jitter_prob: 0.2,
             read_jitter_max: 6,
@@ -239,7 +239,7 @@ impl ChaosProfile {
     }
 
     /// Stall storms on the datapath only.
-    pub fn storms() -> Self {
+    pub const fn storms() -> Self {
         ChaosProfile {
             stall_storm_prob: 0.02,
             stall_storm_max: 12,
@@ -248,7 +248,7 @@ impl ChaosProfile {
     }
 
     /// FIFO slow-drain only.
-    pub fn drain() -> Self {
+    pub const fn drain() -> Self {
         ChaosProfile {
             slow_drain_prob: 0.15,
             ..Self::none()
@@ -256,7 +256,7 @@ impl ChaosProfile {
     }
 
     /// Everything latency-only at once: jitter + storms + slow-drain.
-    pub fn heavy() -> Self {
+    pub const fn heavy() -> Self {
         ChaosProfile {
             read_jitter_prob: 0.2,
             read_jitter_max: 6,
@@ -278,19 +278,25 @@ impl ChaosProfile {
     }
 
     /// Parses a profile name as accepted by the CLI/bench `--chaos-profile`
-    /// flag: `off`, `jitter`, `storms`, `drain`, `heavy`, `flip:<k>`.
+    /// flag: `off` (or `none`), `jitter`, `storms`, `drain`, `heavy`,
+    /// `flip:<k>`.
     pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "off" | "none" => Some(Self::none()),
-            "jitter" => Some(Self::jitter()),
-            "storms" => Some(Self::storms()),
-            "drain" => Some(Self::drain()),
-            "heavy" => Some(Self::heavy()),
-            _ => {
-                let k = name.strip_prefix("flip:")?;
-                k.parse::<u64>().ok().map(Self::flip)
-            }
+        let name = if name == "none" { "off" } else { name };
+        if let Some((_, profile)) = NAMED_PROFILES.iter().find(|(n, _)| *n == name) {
+            return Some(*profile);
         }
+        let k = name.strip_prefix("flip:")?;
+        k.parse::<u64>().ok().map(Self::flip)
+    }
+
+    /// The name [`from_name`](Self::from_name) parses back to this
+    /// profile, or `None` for a hand-built profile no name describes.
+    pub fn name(&self) -> Option<String> {
+        if let Some((name, _)) = NAMED_PROFILES.iter().find(|(_, p)| p == self) {
+            return Some(name.to_string());
+        }
+        let k = self.bit_flip_read?;
+        (*self == Self::flip(k)).then(|| format!("flip:{k}"))
     }
 
     /// True when the profile can inject at least one fault.
@@ -308,6 +314,15 @@ impl ChaosProfile {
         self.bit_flip_read.is_none() && self.drop_beat.is_none() && self.dup_beat.is_none()
     }
 }
+
+/// The profiles with a plain name.
+const NAMED_PROFILES: [(&str, ChaosProfile); 5] = [
+    ("off", ChaosProfile::none()),
+    ("jitter", ChaosProfile::jitter()),
+    ("storms", ChaosProfile::storms()),
+    ("drain", ChaosProfile::drain()),
+    ("heavy", ChaosProfile::heavy()),
+];
 
 impl Default for ChaosProfile {
     fn default() -> Self {
@@ -1021,6 +1036,15 @@ mod tests {
             Some(ChaosProfile::flip(17))
         );
         assert_eq!(ChaosProfile::from_name("bogus"), None);
+        for name in ["off", "jitter", "storms", "drain", "heavy", "flip:17"] {
+            let profile = ChaosProfile::from_name(name).expect("named");
+            assert_eq!(profile.name().as_deref(), Some(name));
+        }
+        let custom = ChaosProfile {
+            read_jitter_max: 9,
+            ..ChaosProfile::jitter()
+        };
+        assert_eq!(custom.name(), None);
         assert!(ChaosProfile::heavy().is_latency_only());
         assert!(!ChaosProfile::flip(0).is_latency_only());
         assert!(!ChaosProfile::none().is_active());

@@ -6,6 +6,7 @@
 //! request snapshots the registry into the same `counters`/`histograms`
 //! JSON shape reports use, so one decoder reads both.
 
+use smache::engine::{Lookup, Provenance};
 use smache_sim::telemetry::{CounterId, CounterRegistry, HistogramId};
 use smache_sim::Json;
 use std::sync::Mutex;
@@ -213,41 +214,31 @@ impl ServerMetrics {
         });
     }
 
-    /// Records a schedule-cache lookup outcome (second-level cache:
-    /// consulted only after a result-cache miss on a `simulate` run).
-    pub fn schedule_cache_lookup(&self, hit: bool) {
+    /// Counts what the engine's schedule-cache and store lookups found
+    /// for one run (consulted only after a result-cache miss), and a
+    /// capture written back to the store.
+    pub fn provenance(&self, prov: &Provenance) {
         self.with(|r| {
-            r.counters.inc(if hit {
-                r.schedule_hits
-            } else {
-                r.schedule_misses
-            })
+            match prov.cache {
+                Lookup::Hit => r.counters.inc(r.schedule_hits),
+                Lookup::Miss => r.counters.inc(r.schedule_misses),
+                Lookup::Skipped | Lookup::Damaged => {}
+            }
+            match prov.store {
+                Lookup::Hit => r.counters.inc(r.store_hits),
+                Lookup::Miss => r.counters.inc(r.store_misses),
+                Lookup::Damaged => r.counters.inc(r.store_corrupt),
+                Lookup::Skipped => {}
+            }
+            if prov.stored {
+                r.counters.inc(r.store_writes);
+            }
         });
     }
 
     /// Publishes the schedule cache's current byte footprint.
     pub fn schedule_cache_state(&self, bytes: u64) {
         self.with(|r| r.counters.set(r.schedule_bytes, bytes));
-    }
-
-    /// Records a persistent-store lookup outcome (third level: consulted
-    /// only after both the result cache and the in-memory schedule cache
-    /// miss).
-    pub fn store_lookup(&self, hit: bool) {
-        self.with(|r| {
-            r.counters
-                .inc(if hit { r.store_hits } else { r.store_misses })
-        });
-    }
-
-    /// Counts one schedule written back to the persistent store.
-    pub fn store_write(&self) {
-        self.with(|r| r.counters.inc(r.store_writes));
-    }
-
-    /// Counts one damaged store entry discarded (and recaptured).
-    pub fn store_corrupt(&self) {
-        self.with(|r| r.counters.inc(r.store_corrupt));
     }
 
     /// Publishes the store's current disk footprint.
@@ -423,12 +414,21 @@ mod tests {
         assert_eq!(m.counter("serve.schedule_cache.bytes"), 2048);
     }
 
+    fn lookups(cache: Lookup, store: Lookup, stored: bool) -> Provenance {
+        Provenance {
+            cache,
+            store,
+            stored,
+            ..Provenance::default()
+        }
+    }
+
     #[test]
     fn schedule_cache_counters_accumulate() {
         let m = ServerMetrics::new();
-        m.schedule_cache_lookup(false);
-        m.schedule_cache_lookup(true);
-        m.schedule_cache_lookup(true);
+        m.provenance(&lookups(Lookup::Miss, Lookup::Skipped, false));
+        m.provenance(&lookups(Lookup::Hit, Lookup::Skipped, false));
+        m.provenance(&lookups(Lookup::Hit, Lookup::Skipped, false));
         assert_eq!(m.counter("serve.schedule_cache.hits"), 2);
         assert_eq!(m.counter("serve.schedule_cache.misses"), 1);
     }
@@ -436,11 +436,9 @@ mod tests {
     #[test]
     fn store_counters_accumulate_and_gauges_set() {
         let m = ServerMetrics::new();
-        m.store_lookup(true);
-        m.store_lookup(false);
-        m.store_write();
-        m.store_write();
-        m.store_corrupt();
+        m.provenance(&lookups(Lookup::Skipped, Lookup::Hit, false));
+        m.provenance(&lookups(Lookup::Skipped, Lookup::Miss, true));
+        m.provenance(&lookups(Lookup::Skipped, Lookup::Damaged, true));
         assert_eq!(m.counter("serve.store.hits"), 1);
         assert_eq!(m.counter("serve.store.misses"), 1);
         assert_eq!(m.counter("serve.store.writes"), 2);

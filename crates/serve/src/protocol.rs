@@ -34,14 +34,13 @@
 
 use std::sync::Arc;
 
-use smache::arch::kernel::AverageKernel;
+use smache::engine::{Engine, Job};
 use smache::error::CoreError;
 use smache::spec::{seeded_input, ProblemSpec, SPEC_KEYS};
 use smache::system::{ControlSchedule, ReplayMode};
-use smache::SmacheSystem;
 use smache_mem::{ChaosProfile, FaultPlan};
 use smache_sim::hash::fingerprint128;
-use smache_sim::{Json, TelemetryConfig};
+use smache_sim::Json;
 
 /// Protocol revision spoken by this build (bumped on breaking changes).
 pub const PROTOCOL_VERSION: i64 = 1;
@@ -324,131 +323,72 @@ impl RunRequest {
                 ("n_cases", Json::Int(plan.n_cases as i64)),
             ]));
         }
-
-        let input = seeded_input(self.spec.grid.len(), self.seed);
-        if self.spec.pipelined() {
-            let mut pipe = self.build_pipeline()?;
-            let report = pipe
-                .run(&input, self.instances / self.spec.timesteps)
-                .map_err(|e| e.to_string())?;
-            return Ok(report.to_json());
-        }
-        let mut builder = self.spec.builder();
-        if self.kind == RunKind::Chaos {
-            builder = builder.fault_plan(self.fault_plan()?);
-        }
-        if self.kind == RunKind::Trace {
-            builder = builder.telemetry(TelemetryConfig::default());
-        }
-        let mut system: SmacheSystem = builder.build().map_err(|e| e.to_string())?;
-        let report = system
-            .run(&input, self.instances)
-            .map_err(|e| e.to_string())?;
+        let report = self.job()?.full(&self.input()).map_err(|e| e.to_string())?;
         Ok(report.to_json())
     }
 
-    /// The request's fault plan (inactive unless `kind` is `Chaos`).
-    fn fault_plan(&self) -> Result<FaultPlan, String> {
-        if self.kind != RunKind::Chaos {
-            return Ok(FaultPlan::default());
-        }
-        let profile = ChaosProfile::from_name(&self.profile)
-            .ok_or_else(|| format!("unknown chaos profile `{}`", self.profile))?;
-        Ok(FaultPlan::new(self.chaos_seed, profile))
-    }
-
-    /// Builds the temporal pipeline a pipelined spec asks for (parse-time
-    /// validation guarantees `instances % timesteps == 0` by the time this
-    /// runs).
-    fn build_pipeline(&self) -> Result<smache::TemporalPipeline, String> {
-        let plan = self.spec.builder().plan().map_err(|e| e.to_string())?;
-        let config = smache::PipelineConfig {
-            depth: self.spec.timesteps as usize,
-            channels: self.spec.channels,
-            system: smache::system::SystemConfig {
-                fault_plan: self.fault_plan()?,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        smache::TemporalPipeline::new(plan, Box::new(AverageKernel), config)
-            .map_err(|e| e.to_string())
-    }
-
-    /// The canonical text of the control *schedule* this request would
-    /// exercise: the spec plus the instance count, **no data seed** — that
-    /// is what lets differing-seed requests for one spec share a schedule.
-    /// `Some` for plain `simulate` runs and for `chaos` runs whose profile
-    /// is latency-only (faults that stretch timing without corrupting
-    /// data leave the control plane a pure function of the spec and the
-    /// chaos seed, so the chaos suffix joins the key and the data seed
-    /// still does not). Plan requests have no schedule; trace runs and
-    /// corrupting chaos profiles are not replay-eligible.
-    pub fn schedule_canonical(&self) -> Option<String> {
-        let chaos_active = match self.kind {
-            RunKind::Simulate => false,
+    /// The engine job a run request describes: the spec, the fault plan of
+    /// a `chaos` run, telemetry for a `trace` run. Plan requests only
+    /// analyse and have no job.
+    pub fn job(&self) -> Result<Job<'_>, String> {
+        let job = Job::spec(&self.spec, self.instances);
+        match self.kind {
+            RunKind::Plan => Err("`plan` requests analyse the spec; they do not run".into()),
+            RunKind::Simulate => Ok(job),
+            RunKind::Trace => Ok(job.telemetry()),
             RunKind::Chaos => {
-                let profile = ChaosProfile::from_name(&self.profile)?;
-                if !profile.is_latency_only() {
-                    return None;
-                }
-                FaultPlan::new(self.chaos_seed, profile).is_active()
+                let profile = ChaosProfile::from_name(&self.profile)
+                    .ok_or_else(|| format!("unknown chaos profile `{}`", self.profile))?;
+                Ok(job.fault_plan(FaultPlan::new(self.chaos_seed, profile)))
             }
-            _ => return None,
-        };
-        let mut text = format!(
-            "sched-v{PROTOCOL_VERSION};spec={};instances={}",
-            self.spec.canonical(),
-            self.instances
-        );
-        if chaos_active {
-            text.push_str(&format!(";chaos={}:{}", self.profile, self.chaos_seed));
         }
-        Some(text)
     }
 
-    /// The schedule-cache key: the 128-bit fingerprint of
-    /// [`schedule_canonical`](Self::schedule_canonical).
+    /// The request's seeded input grid.
+    pub(crate) fn input(&self) -> Vec<u64> {
+        seeded_input(self.spec.grid.len(), self.seed)
+    }
+
+    /// The error text of a failed run. A refusal under `replay: on` says
+    /// that the request has no replayable schedule.
+    pub(crate) fn error_text(&self, error: CoreError) -> String {
+        match error {
+            CoreError::ReplayRefused(reason) if self.replay == ReplayMode::On => format!(
+                "replay=on, but this `{}` run has no replayable control schedule: {reason}",
+                self.kind.label()
+            ),
+            e => e.to_string(),
+        }
+    }
+
+    /// The key of the control *schedule* this request would exercise (see
+    /// [`smache::engine`]): the spec plus the instance count and, for a
+    /// latency-only `chaos` run, the profile and chaos seed — **no data
+    /// seed**, which is what lets differing-seed requests for one spec
+    /// share a schedule. `None` for plan requests, trace runs and
+    /// corrupting chaos profiles, which are not replay-eligible.
     pub fn schedule_key(&self) -> Option<(u64, u64)> {
-        self.schedule_canonical()
-            .map(|t| fingerprint128(t.as_bytes()))
+        self.job().ok()?.key().ok()
     }
 
     /// Like [`execute`](Self::execute), but additionally captures the
     /// run's [`ControlSchedule`] so later same-spec requests can replay it.
     /// Applies to every request with a
-    /// [`schedule_canonical`](Self::schedule_canonical) — plain `simulate`
-    /// runs and latency-only `chaos` runs. A typed capture refusal falls
-    /// back to the plain run internally and returns `None` for the
-    /// schedule (unless the request forces `replay: on`, which surfaces
-    /// the refusal as an error); only genuine run failures error.
+    /// [`schedule_key`](Self::schedule_key). A typed capture refusal falls
+    /// back to the plain run and returns `None` for the schedule (unless
+    /// the request forces `replay: on`, which surfaces the refusal as an
+    /// error); only genuine run failures error.
     pub fn execute_capture(&self) -> Result<(Json, Option<Arc<ControlSchedule>>), String> {
-        if self.schedule_canonical().is_none() {
+        if self.kind == RunKind::Plan {
             return self.execute().map(|r| (r, None));
         }
-        let input = seeded_input(self.spec.grid.len(), self.seed);
-        if self.spec.pipelined() {
-            let mut pipe = self.build_pipeline()?;
-            return match pipe.run_captured(&input, self.instances / self.spec.timesteps) {
-                Ok((report, schedule)) => Ok((report.to_json(), Some(schedule))),
-                Err(CoreError::ReplayRefused(_)) if self.replay != ReplayMode::On => {
-                    self.execute().map(|r| (r, None))
-                }
-                Err(e) => Err(e.to_string()),
-            };
-        }
-        let mut builder = self.spec.builder();
-        if self.kind == RunKind::Chaos {
-            builder = builder.fault_plan(self.fault_plan()?);
-        }
-        let mut system: SmacheSystem = builder.build().map_err(|e| e.to_string())?;
-        match system.run_captured(&input, self.instances) {
-            Ok((report, schedule)) => Ok((report.to_json(), Some(schedule))),
-            Err(CoreError::ReplayRefused(_)) if self.replay != ReplayMode::On => {
-                self.execute().map(|r| (r, None))
-            }
-            Err(e) => Err(e.to_string()),
-        }
+        let job = self.job()?;
+        let engine: Engine = Engine::new(usize::MAX, None);
+        let (report, _) = engine
+            .run(&job, &self.input(), self.replay)
+            .map_err(|e| self.error_text(e))?;
+        let schedule = job.key().ok().and_then(|key| engine.cache().get(key));
+        Ok((report.to_json(), schedule))
     }
 
     /// Replays a cached schedule over this request's seeded input instead
@@ -456,9 +396,9 @@ impl RunRequest {
     /// spec the schedule was captured from; refusals (mismatched schedule)
     /// surface as errors for the caller to fall back on.
     pub fn execute_replay(&self, schedule: &ControlSchedule) -> Result<Json, String> {
-        let input = seeded_input(self.spec.grid.len(), self.seed);
-        let report = schedule
-            .replay(&AverageKernel, &input)
+        let report = self
+            .job()?
+            .replay(schedule, &self.input())
             .map_err(|e| e.to_string())?;
         Ok(report.to_json())
     }

@@ -424,24 +424,10 @@ impl Reactor {
     /// no recency refresh, no hit/miss counting — so classification never
     /// perturbs the caches it reads.
     fn classify(&self, request: &RunRequest) -> JobClass {
-        if request.replay == ReplayMode::Off {
-            return JobClass::Capture;
-        }
-        let Some(key) = request.schedule_key() else {
-            return JobClass::Capture;
-        };
-        let in_cache = self
-            .shared
-            .schedules
-            .lock()
-            .expect("schedules poisoned")
-            .contains(key);
-        let resident = in_cache
-            || self
-                .shared
-                .store
-                .as_ref()
-                .is_some_and(|store| store.lock().expect("store poisoned").contains(key));
+        let resident = request.replay != ReplayMode::Off
+            && request
+                .schedule_key()
+                .is_some_and(|key| self.shared.engine.resident(key));
         if resident {
             JobClass::Replay
         } else {

@@ -35,11 +35,13 @@
 //! deadline misses halve it (with a cooldown), so the server sheds load
 //! before queues turn into deadline graveyards.
 //!
-//! Behind the result cache sit two more levels for replay-eligible runs
-//! (`simulate`, and `chaos` with a latency-only profile): an in-memory
-//! [`ScheduleCache`] of captured control schedules, and — with
-//! [`ServeConfig::store_dir`] set — a persistent [`ScheduleStore`] on
-//! disk, so a restarted server replays previously captured specs
+//! Behind the result cache, every run goes through the core
+//! [`Engine`] — the same schedule key and ladder the CLI and batch
+//! use. For replay-eligible runs (`simulate`, and `chaos` with a
+//! latency-only profile) it holds an in-memory schedule cache of
+//! captured control schedules, and — with [`ServeConfig::store_dir`]
+//! set — a persistent [`ScheduleStore`] on disk, so a restarted server
+//! replays previously captured specs (its own, or a CLI or batch run's)
 //! instead of recapturing them (see `docs/DEPLOYMENT.md`).
 //!
 //! `shutdown` begins a **graceful drain**: admission stops (`draining`
@@ -59,16 +61,15 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use epoll::WakePipe;
+use smache::engine::{Engine, Lookup, Provenance, Tier};
 use smache::system::store::ScheduleStore;
-use smache::system::{ControlSchedule, ReplayMode};
-use smache_sim::ScheduleCache;
 
 use crate::adaptive::{AimdConfig, AimdController};
 use crate::bufpool::BufferPool;
 use crate::cache::ResultCache;
 use crate::metrics::ServerMetrics;
 use crate::pool::AdmissionQueue;
-use crate::protocol::{ok_line, rejected_line, RunRequest};
+use crate::protocol::{ok_line, rejected_line, RunKind, RunRequest};
 use crate::reactor::Reactor;
 
 /// Where the server listens.
@@ -180,8 +181,8 @@ pub(crate) enum Listener {
 pub(crate) struct Shared {
     pub(crate) queue: AdmissionQueue<Job>,
     pub(crate) cache: Mutex<ResultCache>,
-    pub(crate) schedules: Mutex<ScheduleCache<ControlSchedule>>,
-    pub(crate) store: Option<Mutex<ScheduleStore>>,
+    /// The schedule tiers behind the result cache.
+    pub(crate) engine: Engine,
     pub(crate) metrics: ServerMetrics,
     pub(crate) shutdown: AtomicBool,
     pub(crate) default_deadline: Option<Duration>,
@@ -253,9 +254,21 @@ impl Shared {
     }
 
     pub(crate) fn publish_store_state(&self) {
-        if let Some(store) = &self.store {
-            let store = store.lock().expect("store poisoned");
+        if let Some(store) = self.engine.store() {
             self.metrics.store_state(store.bytes(), store.len() as u64);
+        }
+    }
+
+    /// Counts what the engine's lookups found for one run and publishes
+    /// the tier gauges they moved.
+    fn note_provenance(&self, prov: &Provenance) {
+        self.metrics.provenance(prov);
+        if matches!(prov.tier, Tier::Store | Tier::Capture) {
+            let bytes = self.engine.cache().bytes() as u64;
+            self.metrics.schedule_cache_state(bytes);
+        }
+        if prov.store != Lookup::Skipped || prov.stored {
+            self.publish_store_state();
         }
     }
 
@@ -329,10 +342,10 @@ impl ServerHandle {
 /// address.
 pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
     let store = match &config.store_dir {
-        Some(dir) => Some(Mutex::new(
+        Some(dir) => Some(
             ScheduleStore::open(dir, config.store_bytes)
                 .map_err(|e| std::io::Error::other(e.to_string()))?,
-        )),
+        ),
         None => None,
     };
     let queue_cap = config.queue_cap.max(1);
@@ -346,8 +359,7 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
             AdmissionQueue::unbanded()
         },
         cache: Mutex::new(ResultCache::new(config.cache_bytes)),
-        schedules: Mutex::new(ScheduleCache::new(config.schedule_cache_bytes)),
-        store,
+        engine: Engine::new(config.schedule_cache_bytes, store),
         metrics: ServerMetrics::new(),
         shutdown: AtomicBool::new(false),
         default_deadline: config.default_deadline_ms.map(Duration::from_millis),
@@ -412,111 +424,28 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
     })
 }
 
-/// Executes a run on a worker. After the (already-missed) result-cache
-/// lookup, replay-eligible runs — `simulate`, and `chaos` with a
-/// latency-only profile (keyed on the chaos seed) — walk the rest of the
-/// cache hierarchy, honouring the request's `replay` mode (`off` skips
-/// the hierarchy entirely; `on` turns every silent fallback into a typed
-/// error): an
-/// in-memory schedule-cache hit replays the captured control plane over
-/// this request's seeded input (bit-exact, seed-independent key); a miss
-/// consults the persistent store, where a sound on-disk entry also
-/// replays (and repopulates the memory cache — the warm-start path); only
-/// when every level misses does the full capturing simulation run, and
-/// the fresh schedule is written back to both levels so the *next*
-/// same-spec request — even in a future process — replays.
-///
-/// A damaged store entry is discarded and counted (`serve.store.corrupt`)
-/// and the request recaptures: corruption degrades to a cache miss, never
-/// to a wrong or failed response.
+/// Executes a run on a worker, after the (already-missed) result-cache
+/// lookup. Every run goes through the engine's ladder under the request's
+/// `replay` mode: an in-memory schedule-cache hit or a sound store entry
+/// replays over this request's seeded input (bit-exact, seed-independent
+/// key); when both miss, the capturing simulation runs and the fresh
+/// schedule is written back to both, so the *next* same-spec request —
+/// even in a future process — replays. A damaged store entry is discarded
+/// and counted (`serve.store.corrupt`), and the request recaptures.
 fn run_job(request: &RunRequest, shared: &Arc<Shared>) -> Result<smache_sim::Json, String> {
-    if request.replay == ReplayMode::Off {
-        return request.execute(); // the client opted out of replay
-    }
-    let Some(key) = request.schedule_key() else {
-        // Plan/trace/corrupting-chaos runs have no replayable schedule.
-        if request.replay == ReplayMode::On {
-            return Err(format!(
-                "replay=on, but `{}` runs have no replayable control schedule",
-                request.kind.label()
-            ));
+    if request.kind == RunKind::Plan {
+        if request.replay == smache::system::ReplayMode::On {
+            return Err("replay=on, but `plan` runs have no replayable control schedule".into());
         }
         return request.execute();
-    };
-    let (disabled, hit) = {
-        let mut schedules = shared.schedules.lock().expect("schedules poisoned");
-        if schedules.budget() == 0 {
-            (true, None)
-        } else {
-            (false, schedules.get(key))
-        }
-    };
-    if disabled && shared.store.is_none() {
-        return request.execute(); // schedule caching disabled
     }
-    if !disabled {
-        shared.metrics.schedule_cache_lookup(hit.is_some());
-    }
-    if let Some(schedule) = hit {
-        // A stale or mismatched schedule refuses cleanly; fall back to the
-        // full simulation rather than failing the request — unless the
-        // client forced `replay: on`, which surfaces the refusal.
-        return match request.execute_replay(&schedule) {
-            Err(e) if request.replay == ReplayMode::On => Err(e),
-            Err(_) => request.execute(),
-            ok => ok,
-        };
-    }
-
-    // Third level: the persistent store.
-    if let Some(store) = &shared.store {
-        let loaded = store.lock().expect("store poisoned").load_or_evict(key);
-        match loaded {
-            Ok(Some(schedule)) => {
-                shared.metrics.store_lookup(true);
-                if !disabled {
-                    let bytes = schedule.approx_bytes();
-                    let mut schedules = shared.schedules.lock().expect("schedules poisoned");
-                    schedules.insert(key, Arc::clone(&schedule), bytes);
-                    shared
-                        .metrics
-                        .schedule_cache_state(schedules.bytes() as u64);
-                }
-                shared.publish_store_state();
-                return match request.execute_replay(&schedule) {
-                    Err(e) if request.replay == ReplayMode::On => Err(e),
-                    Err(_) => request.execute(),
-                    ok => ok,
-                };
-            }
-            Ok(None) => shared.metrics.store_lookup(false),
-            Err(_) => {
-                // Typed damage: the entry is already discarded; recapture.
-                shared.metrics.store_corrupt();
-                shared.publish_store_state();
-            }
-        }
-    }
-
-    let (doc, schedule) = request.execute_capture()?;
-    if let Some(schedule) = schedule {
-        if !disabled {
-            let bytes = schedule.approx_bytes();
-            let mut schedules = shared.schedules.lock().expect("schedules poisoned");
-            schedules.insert(key, Arc::clone(&schedule), bytes);
-            shared
-                .metrics
-                .schedule_cache_state(schedules.bytes() as u64);
-        }
-        if let Some(store) = &shared.store {
-            let saved = store.lock().expect("store poisoned").save(key, &schedule);
-            if saved.is_ok() {
-                shared.metrics.store_write();
-            }
-            shared.publish_store_state();
-        }
-    }
-    Ok(doc)
+    let job = request.job()?;
+    let (report, prov) = shared
+        .engine
+        .run(&job, &request.input(), request.replay)
+        .map_err(|e| request.error_text(e))?;
+    shared.note_provenance(&prov);
+    Ok(report.to_json())
 }
 
 fn worker_loop(shared: &Arc<Shared>) {

@@ -76,8 +76,15 @@ for args in "--grid 8x8x8 --bounds circular" \
     echo "full simulation with $args failed golden verification"; exit 1; }
 done
 
-echo "== replay smoke (auto picks replay, fingerprint matches full sim) =="
-replay_out=$(cargo run -p smache-cli --release -- simulate --grid 11x11 --instances 3 --seed 7 --replay auto)
+echo "== replay smoke (a stored schedule replays, fingerprint matches full sim) =="
+replay_store=$(mktemp -d)
+cold_out=$(cargo run -p smache-cli --release -- simulate --grid 11x11 --instances 3 --seed 7 \
+  --replay auto --store "$replay_store")
+echo "$cold_out" | grep -q 'store: 0 hits, 1 writes' || {
+  echo "the cold --replay auto run did not persist its capture"; exit 1; }
+replay_out=$(cargo run -p smache-cli --release -- simulate --grid 11x11 --instances 3 --seed 7 \
+  --replay auto --store "$replay_store")
+rm -rf "$replay_store"
 echo "$replay_out" | grep -q 'engine=replay' || { echo "--replay auto did not replay"; exit 1; }
 full_out=$(cargo run -p smache-cli --release -- simulate --grid 11x11 --instances 3 --seed 7 --replay off)
 echo "$full_out" | grep -q 'engine=full_sim' || { echo "--replay off did not run the full sim"; exit 1; }
@@ -196,6 +203,31 @@ cargo run -p smache-cli --release -- schedules export --store "$store_dir" --out
 cargo run -p smache-cli --release -- schedules import --store "$store_dir2" --from "$store_pack" \
   | grep -q 'imported 1 entries' || { echo "schedules import failed"; exit 1; }
 rm -rf "$store_dir" "$store_dir2" "$store_pack"
+
+echo "== cross-surface store smoke (a batch run's schedule serves a server) =="
+xs_dir=$(mktemp -d)
+xs_sock="/tmp/smache-ci-xs-$$.sock"
+rm -f "$xs_sock"
+cargo run -p smache-cli --release -- simulate --grid 16x16 --batch 4 --store "$xs_dir" >/dev/null
+cargo run -p smache-cli --release -- serve --listen "unix:$xs_sock" --workers 2 \
+  --store "$xs_dir" &
+xs_pid=$!
+for _ in $(seq 1 120); do [ -S "$xs_sock" ] && break; sleep 0.5; done
+[ -S "$xs_sock" ] || { echo "cross-surface server socket never appeared"; exit 1; }
+cargo run -p smache-cli --release -- call --to "unix:$xs_sock" \
+  --json '{"cmd":"simulate","spec":{"grid":"16x16"},"seed":42,"instances":100}' \
+  | grep -Eq '"engine": ?"replay"' || { echo "the server did not replay the batch schedule"; exit 1; }
+xs_stats=$(cargo run -p smache-cli --release -- call --to "unix:$xs_sock" --json '{"cmd":"stats"}')
+cargo run -p smache-cli --release -- call --to "unix:$xs_sock" \
+  --json '{"cmd":"shutdown"}' >/dev/null
+wait "$xs_pid"
+echo "$xs_stats" | grep -Eq '"serve.store.hits": ?1' || {
+  echo "the server missed the schedule the batch run stored"; exit 1; }
+echo "$xs_stats" | grep -Eq '"serve.store.writes": ?0' || {
+  echo "the server wrote a second copy of the batch run's schedule"; exit 1; }
+[ "$(find "$xs_dir" -name '*.sched' | wc -l)" -eq 1 ] || {
+  echo "the store holds more than one entry for one spec"; exit 1; }
+rm -rf "$xs_dir"
 
 echo "== store bench (warm-start speedup artefact) =="
 store_json=$(mktemp)

@@ -12,9 +12,11 @@
 //!   decodes, replays bit-exact and re-encodes byte for byte.
 
 use smache::arch::kernel::AverageKernel;
+use smache::engine::{Engine, Job, Lookup, Tier};
 use smache::functional::golden::golden_run;
+use smache::spec::ProblemSpec;
 use smache::system::store::{decode_entry, encode_entry};
-use smache::system::{schedule_key, ControlSchedule, RunEngine, ScheduleStore};
+use smache::system::{ControlSchedule, ReplayMode, RunEngine, ScheduleStore};
 use smache::SmacheBuilder;
 use smache_stencil::{BoundarySpec, GridSpec, StencilShape};
 use std::sync::Arc;
@@ -287,12 +289,6 @@ fn committed_entry_decodes_replays_and_reencodes_identically() {
             .build()
             .expect("build")
     };
-    let sys = build();
-    assert_eq!(
-        key,
-        schedule_key(sys.plan(), sys.config(), &AverageKernel, 2),
-        "schedule key drifted"
-    );
     assert_eq!(schedule.key(), key);
     assert_eq!(schedule.instances(), 2);
     for seed in [3, 7, 1 << 40] {
@@ -304,4 +300,34 @@ fn committed_entry_decodes_replays_and_reencodes_identically() {
         assert_eq!(replayed.stats, full.stats, "seed {seed}");
         assert_eq!(replayed.metrics.cycles, full.metrics.cycles, "seed {seed}");
     }
+
+    // The fixture is filed under the plan-`Debug` key that earlier
+    // commits used. A store holding it does not answer the unified key of
+    // the same spec, so the engine captures once and files the schedule
+    // under the unified key beside it.
+    let dir = std::env::temp_dir().join(format!("smache-fixture-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let name = format!("{:016x}{:016x}.sched", key.0, key.1);
+    std::fs::write(dir.join(name), &bytes).expect("place fixture");
+    let mut store = ScheduleStore::open(&dir, 0).expect("open");
+    assert!(store.contains(key));
+    let spec = ProblemSpec::from_source(&std::collections::BTreeMap::new()).expect("spec");
+    assert_eq!((spec.grid.clone(), spec.bounds.clone()), (grid, bounds));
+    let job = Job::spec(&spec, 2);
+    let unified = job.key().expect("replayable");
+    assert!(matches!(store.load(unified), Ok(None)));
+    let engine = Engine::new(0, Some(store));
+    let (_, prov) = engine
+        .run(&job, &seeded(121, 3), ReplayMode::Auto)
+        .expect("run");
+    assert_eq!(
+        (prov.store, prov.tier, prov.stored),
+        (Lookup::Miss, Tier::Capture, true)
+    );
+    let store = engine.store().expect("store");
+    assert!(store.contains(unified) && store.contains(key));
+    assert_eq!(store.len(), 2);
+    drop(store);
+    std::fs::remove_dir_all(&dir).ok();
 }
